@@ -50,8 +50,9 @@ PLANNER_ENGINES: tuple[str, ...] = (
     "oombea", "parallel",
 )
 
-#: Graphs below this many edges pick ``natural`` ordering: enumeration is
-#: microseconds either way and the degree sort would dominate.
+#: Graphs below this many edges pick ``natural`` ordering and never plan
+#: onto ``parallel``: enumeration is microseconds either way, so the
+#: degree sort or the pool's dispatch would dominate.
 TINY_EDGE_COUNT = 64
 
 #: Predicted seconds of serial work above which the process-pool engine
@@ -267,6 +268,21 @@ def build_plan(
                     predicted_seconds=predicted, eligible=False,
                     reasons=["single-core host: the process pool is pure "
                              "overhead"],
+                ))
+                continue
+            if features.n_edges < TINY_EDGE_COUNT:
+                # the serial predictions here are extrapolation (see the
+                # ranking below); the real work is microseconds, which
+                # the pool's dispatch overhead can never pay back
+                rejected.append(PlanCandidate(
+                    engine=engine, ordering=ordering, workers=workers,
+                    predicted_seconds=predicted, eligible=False,
+                    reasons=[
+                        f"tiny graph ({features.n_edges} edges, < "
+                        f"{TINY_EDGE_COUNT}): serial work is far under the "
+                        f"{PARALLEL_WORTTHWHILE_SECONDS:.0f}s bar where "
+                        f"pool dispatch pays off"
+                    ],
                 ))
                 continue
             serial_best = min(

@@ -11,8 +11,8 @@ Pinned here, mirroring docs/planning.md:
   matrix actually measured as competitive;
 * plan mechanics: threshold-incapable engines are ineligible when the
   job sets thresholds, open breakers demote without disqualifying,
-  tiny graphs rank by pool preference, parallel needs cores and
-  enough predicted serial work;
+  tiny graphs rank by pool preference, parallel needs cores, a graph
+  of at least 64 edges and enough predicted serial work;
 * the ``repro plan`` CLI prints the chosen configuration, ``--explain``
   lists every candidate with a status and reasons, ``--json`` emits the
   machine-readable plan;
@@ -237,6 +237,17 @@ class TestBuildPlan:
         para = next(c for c in fast.candidates if c.engine == "parallel")
         assert not para.eligible
         assert "bar" in para.reasons[0]
+
+    @pytest.mark.parametrize("n_cores", [2, 16])
+    def test_parallel_ineligible_on_tiny_graph_with_cores(self, g0, n_cores):
+        # G0's extrapolated serial predictions are far above the 5s bar,
+        # yet its real work is microseconds: the core count must not
+        # let the pool into the plan
+        plan = build_plan(g0, n_cores=n_cores)
+        para = next(c for c in plan.candidates if c.engine == "parallel")
+        assert not para.eligible
+        assert "tiny graph" in para.reasons[0]
+        assert "parallel" not in plan.engine_chain()
 
     def test_parallel_wins_on_heavy_graph_with_cores(self):
         heavy = _zoo_features(
