@@ -16,8 +16,8 @@ from repro.bench.runner import measure_peak_memory
 CONFIGS = [
     ("imbea", {}),
     ("mbet", {}),
-    ("mbetm-4096", {"max_nodes": 4096}),
-    ("mbetm-256", {"max_nodes": 256}),
+    ("mbetm-4096", {"max_nodes": 4096, "use_trie": True}),
+    ("mbetm-256", {"max_nodes": 256, "use_trie": True}),
 ]
 
 

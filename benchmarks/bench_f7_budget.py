@@ -18,7 +18,9 @@ BUDGETS = (64, 1024, 16384)
 @pytest.mark.parametrize("budget", BUDGETS)
 def bench_budget(benchmark, run_once, budget):
     graph = datasets.load("yg")
-    result = run_once(run_mbe, graph, "mbetm", collect=False, max_nodes=budget)
+    result = run_once(
+        run_mbe, graph, "mbetm", collect=False, max_nodes=budget, use_trie=True
+    )
     assert result.count == datasets.spec("yg").approx_bicliques
     assert result.stats.trie_peak_nodes <= budget
     benchmark.extra_info["trie_peak_nodes"] = result.stats.trie_peak_nodes

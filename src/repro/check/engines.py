@@ -29,15 +29,21 @@ CONSTRAINED_ENGINES: frozenset[str] = frozenset(
 )
 
 #: Option variants sampled per case, exercising ablation flags and the
-#: trie-overflow / slicing paths that plain defaults never reach.
+#: trie / trie-overflow / slicing paths that plain defaults never reach
+#: (fuzz graphs sit far below the adaptive store's trie threshold, so the
+#: trie runs only where ``use_trie=True`` pins it).
 ENGINE_VARIANTS: dict[str, tuple[dict[str, Any], ...]] = {
     "mbet": (
-        {}, {"use_trie": False}, {"use_merge": False}, {"use_sort": False},
-        {"trie_max_nodes": 4}, {"orient_smaller_v": True},
+        {}, {"use_trie": True}, {"use_trie": False}, {"use_merge": False},
+        {"use_sort": False}, {"use_trie": True, "trie_max_nodes": 4},
+        {"orient_smaller_v": True},
     ),
-    "mbet_iter": ({}, {"orient_smaller_v": True}, {"trie_max_nodes": 4}),
+    "mbet_iter": (
+        {}, {"use_trie": True}, {"orient_smaller_v": True},
+        {"use_trie": True, "trie_max_nodes": 4},
+    ),
     "mbet_vec": (
-        {}, {"use_merge": False}, {"trie_max_nodes": 4},
+        {}, {"use_merge": False}, {"use_trie": True, "trie_max_nodes": 4},
         # force every subtree through the packed-kernel path, and exercise
         # the mid-recursion int-path drop-down at a tiny threshold
         {"kernel_policy": "always"},
@@ -46,9 +52,13 @@ ENGINE_VARIANTS: dict[str, tuple[dict[str, Any], ...]] = {
         {"kernel_min_groups": 3},
         {"kernel_policy": "never"},
     ),
-    "mbetm": ({}, {"max_nodes": 8}),
+    "mbetm": ({}, {"use_trie": True}, {"use_trie": True, "max_nodes": 8}),
     "parallel": (
         {"workers": 1, "bound_height": 1, "bound_size": 1},
+        {
+            "workers": 1, "bound_height": 1, "bound_size": 1,
+            "engine_options": (("use_trie", True),),
+        },
         {"workers": 1, "bound_height": 1, "bound_size": 8},
         {"workers": 1},
         {"workers": 1, "engine": "mbet_vec"},

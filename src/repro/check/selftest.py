@@ -21,9 +21,6 @@ class _BlindStore:
 
     __slots__ = ("_inner",)
 
-    #: mimics _ListQ's counter so MBET's stats folding stays happy
-    checks = 0
-
     def __init__(self, inner):
         self._inner = inner
 
@@ -36,6 +33,9 @@ class _BlindStore:
     def has_superset(self, query) -> bool:
         return False
 
+    def fold_into(self, stats) -> None:
+        self._inner.fold_into(stats)
+
 
 class BrokenMBET(MBET):
     """MBET with the maximality check feature-flagged off."""
@@ -46,6 +46,6 @@ class BrokenMBET(MBET):
         super().__init__(**options)
         self.break_maximality = break_maximality
 
-    def _make_store(self):
-        store = super()._make_store()
+    def _make_store(self, n_traversed: int):
+        store = super()._make_store(n_traversed)
         return _BlindStore(store) if self.break_maximality else store

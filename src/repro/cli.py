@@ -537,7 +537,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
          _share(st.threshold_pruned, explored, "of branches cut by bounds")],
         ["merged_candidates", f"{st.merged_candidates:,}",
          "candidates absorbed by signature merging"],
-        ["checks", f"{st.checks:,}", "containment tests performed"],
+        ["checks", f"{st.checks:,}",
+         "containment steps (sets scanned, trie nodes visited)"],
         ["trie_pruned", f"{st.trie_pruned:,}",
          _share(st.trie_pruned, st.trie_pruned + st.checks,
                 "of containment work avoided by the prefix tree")],

@@ -52,9 +52,11 @@ class EnumerationStats:
     ``nodes``            enumeration-tree nodes expanded
     ``maximal``          maximal bicliques reported (α in the papers)
     ``non_maximal``      nodes rejected by the maximality check (δ)
-    ``checks``           individual traversed-vertex containment tests
-    ``trie_pruned``      containment tests answered by prefix-tree descent
-                         without touching every stored set
+    ``checks``           containment steps taken by the maximality check:
+                         traversed sets scanned, or prefix-tree nodes visited
+    ``trie_pruned``      containment steps the prefix tree avoided against a
+                         scan of every stored set (``checks + trie_pruned``
+                         is the summed traversed-set size over all queries)
     ``intersections``    neighbourhood intersections performed
     ``merged_candidates`` candidates absorbed by equal-signature merging
     ``subtrees``         first-level subproblems processed

@@ -17,8 +17,13 @@ over the ordered set-enumeration framework:
    path (inserted on traversal, removed on backtrack), and the maximality
    check becomes a pruned superset descent instead of a linear scan.
 
-Feature flags (``use_trie``, ``use_merge``, ``use_sort``) exist for the
-ablation experiment R-F6; all default to on.
+The trie only pays once the traversed set is large: each descent step is
+a Python-level node visit, while a linear scan is one C-level ``&`` per
+stored mask.  So by default (``use_trie=None``) each subproblem picks its
+store once, from the size of its initial traversed set: a linear scan
+below :data:`TRIE_MIN_TRAVERSED`, the trie from there on.  ``use_trie=True``
+pins the trie everywhere (the paper's MBET), ``use_trie=False`` pins the
+scan (the R-F6 ablation).  ``use_merge`` and ``use_sort`` default to on.
 
 Size-constrained mining ("large MBE", Liu et al. 2006): ``min_left`` /
 ``min_right`` restrict output to bicliques with ``|L| >= min_left`` and
@@ -45,6 +50,13 @@ from repro.core.base import EnumerationStats, MBEAlgorithm, register
 from repro.core.decompose import Subproblem, iter_subproblems
 from repro.core.prefixtree import PrefixTree
 
+#: Initial traversed-set size from which a subproblem's store is the prefix
+#: tree under the adaptive default.  Calibrated by timing ``_run_subproblem``
+#: with each store, bucketed by initial |Q| (docs/performance.md): below it
+#: the trie took 1.05-2.8x the linear scan's time in every bucket, from it
+#: on the trie won wherever the subproblems carried real work.
+TRIE_MIN_TRAVERSED = 2048
+
 
 class _TrieQ:
     """Traversed-set store backed by a prefix tree with an overflow list.
@@ -54,18 +66,22 @@ class _TrieQ:
     returned by :meth:`insert` make backtracking removal exact.
     """
 
-    __slots__ = ("trie", "overflow", "overflow_scans")
+    __slots__ = ("trie", "overflow", "n_overflow", "overflow_scans",
+                 "overflow_equivalent")
 
     def __init__(self, max_nodes: int | None):
         self.trie = PrefixTree(max_nodes=max_nodes)
         self.overflow: dict[int, int] = {}
-        self.overflow_scans = 0
+        self.n_overflow = 0  # overflow sets, counting multiplicity
+        self.overflow_scans = 0  # overflow masks actually tested
+        self.overflow_equivalent = 0  # overflow sets a linear scan touches
 
     def insert(self, mask: int) -> tuple[int, bool]:
         """Store a signature; the token records where it landed."""
         if self.trie.insert(mask):
             return (mask, True)
         self.overflow[mask] = self.overflow.get(mask, 0) + 1
+        self.n_overflow += 1
         return (mask, False)
 
     def remove(self, token: tuple[int, bool]) -> None:
@@ -79,9 +95,11 @@ class _TrieQ:
             del self.overflow[mask]
         else:
             self.overflow[mask] = count - 1
+        self.n_overflow -= 1
 
     def has_superset(self, query: int) -> bool:
         """True when any stored signature (trie or overflow) covers query."""
+        self.overflow_equivalent += self.n_overflow
         if self.trie.has_superset(query):
             return True
         if self.overflow:
@@ -91,9 +109,29 @@ class _TrieQ:
                     return True
         return False
 
+    def fold_into(self, stats: EnumerationStats) -> None:
+        """Fold this store's counters into the run stats.
+
+        ``checks`` counts the containment steps taken (trie node visits
+        plus overflow masks tested); ``trie_pruned`` the steps a linear
+        scan of every stored set would have added.  Their sum is the
+        summed |Q| over all queries, except in a store whose descents
+        visited more nodes than a scan touches: counters only go up, so
+        it prunes nothing and its extra visits stay in ``checks``.
+        """
+        trie = self.trie
+        checks = trie.node_visits + self.overflow_scans
+        stats.checks += checks
+        saved = trie.scan_equivalent + self.overflow_equivalent - checks
+        if saved > 0:
+            stats.trie_pruned += saved
+        if trie.peak_nodes > stats.trie_peak_nodes:
+            stats.trie_peak_nodes = trie.peak_nodes
+        stats.trie_overflow += trie.rejected_inserts
+
 
 class _ListQ:
-    """Linear-scan traversed-set store (the ``use_trie=False`` ablation)."""
+    """Linear-scan traversed-set store (small Q, or ``use_trie=False``)."""
 
     __slots__ = ("masks", "checks")
 
@@ -121,6 +159,11 @@ class _ListQ:
                 return True
         return False
 
+    def fold_into(self, stats: EnumerationStats) -> None:
+        """Fold this store's counters into the run stats (every stored
+        set is tested, so ``checks`` is the summed |Q|)."""
+        stats.checks += self.checks
+
 
 @register
 class MBET(MBEAlgorithm):
@@ -136,7 +179,7 @@ class MBET(MBEAlgorithm):
     def __init__(
         self,
         order: str = "degree",
-        use_trie: bool = True,
+        use_trie: bool | None = None,
         use_merge: bool = True,
         use_sort: bool = True,
         trie_max_nodes: int | None = None,
@@ -227,14 +270,21 @@ class MBET(MBEAlgorithm):
             groups.sort(key=lambda g: (g[0].bit_count(), g[0]))
         return groups
 
-    def _make_store(self):
-        """Build the traversed-set store for one subproblem.
+    def _make_store(self, n_traversed: int):
+        """Build the traversed-set store for one subproblem whose search
+        starts with ``n_traversed`` traversed signatures.
 
-        Overridable seam: the fuzzing harness's deliberately-broken engine
-        (``repro.check.selftest``) wraps the store to disable maximality
-        checking, proving the differential oracles catch real bugs.
+        The choice is made once and holds for the whole search, so insert
+        tokens never change meaning.  Every driver builds its store here:
+        it is also the seam through which the fuzzing harness's
+        deliberately-broken engine (``repro.check.selftest``) disables
+        maximality checking, proving the differential oracles catch real
+        bugs.
         """
-        return _TrieQ(self.trie_max_nodes) if self.use_trie else _ListQ()
+        use_trie = self.use_trie
+        if use_trie is None:
+            use_trie = n_traversed >= TRIE_MIN_TRAVERSED
+        return _TrieQ(self.trie_max_nodes) if use_trie else _ListQ()
 
     def _run_subproblem(
         self,
@@ -243,7 +293,7 @@ class MBET(MBEAlgorithm):
         stats: EnumerationStats,
     ) -> None:
         space = sub.space
-        store = self._make_store()
+        store = self._make_store(len(sub.traversed))
         for sig in sub.traversed:
             store.insert(sig)
 
@@ -262,22 +312,7 @@ class MBET(MBEAlgorithm):
         elif groups:
             stats.threshold_pruned += 1
 
-        self._fold_store_stats(store, stats)
-
-    @staticmethod
-    def _fold_store_stats(store, stats: EnumerationStats) -> None:
-        """Fold one subproblem store's instrumentation into the run stats."""
-        if isinstance(store, _TrieQ):
-            trie = store.trie
-            stats.checks += trie.queries
-            saved = trie.scan_equivalent - trie.node_visits - store.overflow_scans
-            if saved > 0:
-                stats.trie_pruned += saved
-            if trie.peak_nodes > stats.trie_peak_nodes:
-                stats.trie_peak_nodes = trie.peak_nodes
-            stats.trie_overflow += trie.rejected_inserts
-        else:
-            stats.checks += store.checks
+        store.fold_into(stats)
 
     def _search(
         self,

@@ -117,7 +117,7 @@ class MBETVectorized(MBET):
             return
 
         space = sub.space
-        store = self._make_store()
+        store = self._make_store(len(sub.traversed))
         for sig in sub.traversed:
             store.insert(sig)
 
@@ -138,7 +138,7 @@ class MBETVectorized(MBET):
             else:
                 stats.threshold_pruned += 1
 
-        self._fold_store_stats(store, stats)
+        store.fold_into(stats)
 
     # -- vectorized node expansion --------------------------------------------
 

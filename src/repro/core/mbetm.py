@@ -9,6 +9,13 @@ memory bound.  This mirrors the published description of MBETM as the
 variant that sacrifices some throughput to keep space bounded on inputs
 with billions of bicliques.
 
+``use_trie`` is forwarded to :class:`repro.core.mbet.MBET` with the same
+adaptive default: a subproblem whose initial traversed set is small runs
+the linear-scan store, which the search path already bounds — the same
+footprint the overflow list falls back to.  Whenever a trie is built, the
+budget and overflow behaviour are as above; ``use_trie=True`` builds one
+in every subproblem.
+
 The class also exposes :meth:`iter_bicliques`, a generator that yields
 results subtree-by-subtree with timestamps — the progressive-enumeration
 experiment (R-F5: "bicliques produced over time") is driven by it.
@@ -41,6 +48,7 @@ class MBETM(MBET):
         self,
         order: str = "degree",
         max_nodes: int = DEFAULT_BUDGET,
+        use_trie: bool | None = None,
         use_merge: bool = True,
         use_sort: bool = True,
         orient_smaller_v: bool = False,
@@ -52,7 +60,7 @@ class MBETM(MBET):
             raise ValueError("max_nodes must be positive")
         super().__init__(
             order=order,
-            use_trie=True,
+            use_trie=use_trie,
             use_merge=use_merge,
             use_sort=use_sort,
             trie_max_nodes=max_nodes,

@@ -329,12 +329,7 @@ def _run_task(task: tuple[int, int, int], attempt: int):
 
 def _run_root_slice(algo: MBET, sub, part: int, n_parts: int, report, stats) -> None:
     """Run one slice of a subproblem's root loop (see module docstring)."""
-    from repro.core.mbet import _TrieQ
-
     space = sub.space
-    store = _TrieQ(algo.trie_max_nodes)
-    for sig in sub.traversed:
-        store.insert(sig)
     pairs = [(mask, (w,)) for w, mask in sub.cands]
     groups = algo._group(pairs, stats)
     n = len(groups)
@@ -349,6 +344,9 @@ def _run_root_slice(algo: MBET, sub, part: int, n_parts: int, report, stats) -> 
         return
     # Earlier root branches act as already-traversed for this slice; later
     # groups stay in the pool (they absorb and filter) but do not branch.
+    store = algo._make_store(len(sub.traversed) + lo)
+    for sig in sub.traversed:
+        store.insert(sig)
     for mask, _verts in groups[:lo]:
         store.insert(mask)
     algo._search(
@@ -360,6 +358,7 @@ def _run_root_slice(algo: MBET, sub, part: int, n_parts: int, report, stats) -> 
         stats,
         branch_limit=hi - lo,
     )
+    store.fold_into(stats)
 
 
 @register

@@ -247,8 +247,8 @@ _STAT_HELP = {
     "nodes": "enumeration-tree nodes expanded",
     "maximal": "maximal bicliques reported",
     "non_maximal": "nodes rejected by the maximality check",
-    "checks": "traversed-vertex containment tests",
-    "trie_pruned": "containment tests answered by prefix-tree descent",
+    "checks": "containment steps (traversed sets scanned or trie nodes visited)",
+    "trie_pruned": "containment steps the prefix tree avoided against a scan",
     "intersections": "neighbourhood intersections performed",
     "merged_candidates": "candidates absorbed by equal-signature merging",
     "subtrees": "first-level subproblems processed",

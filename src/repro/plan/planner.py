@@ -60,8 +60,9 @@ TINY_EDGE_COUNT = 64
 PARALLEL_WORTTHWHILE_SECONDS = 5.0
 
 #: Budget headroom: recommended time limit = ``HEADROOM ×`` prediction,
-#: clamped to ``[BUDGET_FLOOR, BUDGET_CEIL]`` seconds.  Generous on
-#: purpose — a budget exists to stop runaways, not to shave P99s.
+#: clamped to ``[BUDGET_FLOOR, BUDGET_CEIL]`` seconds (graphs under
+#: ``TINY_EDGE_COUNT`` edges get the floor).  Generous on purpose — a
+#: budget exists to stop runaways, not to shave P99s.
 BUDGET_HEADROOM = 20.0
 BUDGET_FLOOR_SECONDS = 5.0
 BUDGET_CEIL_SECONDS = 600.0
@@ -345,11 +346,16 @@ def build_plan(
         ))
     chosen = eligible[0]
     chosen.reasons.insert(0, ordering_reason)
-    budget = min(
-        BUDGET_CEIL_SECONDS,
-        max(BUDGET_FLOOR_SECONDS,
-            BUDGET_HEADROOM * chosen.predicted_seconds),
-    )
+    if features.n_edges < TINY_EDGE_COUNT:
+        # the prediction is extrapolation here too; the floor alone
+        # stops a runaway on a graph whose real work is microseconds
+        budget = BUDGET_FLOOR_SECONDS
+    else:
+        budget = min(
+            BUDGET_CEIL_SECONDS,
+            max(BUDGET_FLOOR_SECONDS,
+                BUDGET_HEADROOM * chosen.predicted_seconds),
+        )
     return Plan(
         features=features,
         candidates=eligible + rejected,

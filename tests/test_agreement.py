@@ -70,7 +70,7 @@ def test_order_invariance_of_result_set(g):
 @given(g=bipartite_graphs())
 def test_tiny_trie_budget_invariance(g):
     base = run_mbe(g, "mbet").biclique_set()
-    assert run_mbe(g, "mbetm", max_nodes=2).biclique_set() == base
+    assert run_mbe(g, "mbetm", max_nodes=2, use_trie=True).biclique_set() == base
 
 
 @RELAXED

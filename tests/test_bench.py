@@ -56,8 +56,8 @@ class TestMeasureMemory:
         from repro import planted_bicliques
 
         g = planted_bicliques(200, 120, 60, (2, 5), (2, 5), 200, seed=1)
-        _, result = measure_peak_memory(g, "mbetm", max_nodes=64)
-        assert result.stats.trie_peak_nodes <= 64
+        _, result = measure_peak_memory(g, "mbetm", max_nodes=64, use_trie=True)
+        assert 0 < result.stats.trie_peak_nodes <= 64
 
 
 class TestTables:

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
-from repro import run_mbe
-from repro.core.mbet import MBET, _ListQ, _TrieQ
+from repro import random_bipartite, run_mbe
+from repro.core import mbet as mbet_module
+from repro.core.base import EnumerationStats
+from repro.core.mbet import MBET, TRIE_MIN_TRAVERSED, _ListQ, _TrieQ
 from tests.conftest import G0_MAXIMAL, random_bigraph
 
 
@@ -59,7 +61,7 @@ class TestStatsAccounting:
         assert result.count == 2  # full graph x v0, {u0,u1} x {v0,v1,v2}
 
     def test_trie_peak_positive_when_used(self, g0):
-        result = run_mbe(g0, "mbet", order="natural")
+        result = run_mbe(g0, "mbet", order="natural", use_trie=True)
         assert result.stats.trie_peak_nodes >= 1
 
     def test_no_trie_stats_when_disabled(self, g0):
@@ -120,8 +122,120 @@ class TestListQStore:
 class TestMBETConstruction:
     def test_default_flags(self):
         algo = MBET()
-        assert algo.use_trie and algo.use_merge and algo.use_sort
+        assert algo.use_trie is None  # adaptive: store chosen per subproblem
+        assert algo.use_merge and algo.use_sort
         assert algo.trie_max_nodes is None
 
     def test_name_registered(self):
         assert MBET.name == "mbet"
+
+
+class _CountingStore:
+    """Store proxy that counts |Q| at every query, independently of the
+    store's own counters, and what the store folds into ``checks``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.size = 0
+        self.summed_q = 0
+        self.checks = 0
+
+    def insert(self, mask):
+        self.size += 1
+        return self.inner.insert(mask)
+
+    def remove(self, token):
+        self.size -= 1
+        self.inner.remove(token)
+
+    def has_superset(self, query):
+        self.summed_q += self.size
+        return self.inner.has_superset(query)
+
+    def fold_into(self, stats):
+        before = stats.checks
+        self.inner.fold_into(stats)
+        self.checks = stats.checks - before
+
+
+class _CountingMBET(MBET):
+    def __init__(self, **options):
+        super().__init__(**options)
+        self.stores: list[_CountingStore] = []
+
+    def _make_store(self, n_traversed):
+        store = _CountingStore(super()._make_store(n_traversed))
+        self.stores.append(store)
+        return store
+
+
+def _mixed_graph():
+    return random_bipartite(30, 18, 0.3, seed=11)
+
+
+class TestAdaptiveStore:
+    def test_threshold_boundary(self):
+        algo = MBET()
+        assert isinstance(algo._make_store(TRIE_MIN_TRAVERSED - 1), _ListQ)
+        assert isinstance(algo._make_store(TRIE_MIN_TRAVERSED), _TrieQ)
+
+    def test_pinned_stores_ignore_the_threshold(self):
+        assert isinstance(MBET(use_trie=True)._make_store(0), _TrieQ)
+        assert isinstance(
+            MBET(use_trie=False)._make_store(10 * TRIE_MIN_TRAVERSED), _ListQ
+        )
+
+    @pytest.mark.parametrize("engine", ["mbet", "mbet_iter", "mbet_vec", "mbetm"])
+    def test_mixed_stores_stay_exact(self, monkeypatch, engine):
+        g = _mixed_graph()
+        truth = run_mbe(g, "bruteforce").biclique_set()
+        pinned = [
+            run_mbe(g, engine, use_trie=flag).biclique_set()
+            for flag in (True, False)
+        ]
+        assert pinned == [truth, truth]
+        monkeypatch.setattr(mbet_module, "TRIE_MIN_TRAVERSED", 6)
+        assert run_mbe(g, engine).biclique_set() == truth
+
+    def test_low_threshold_mixes_stores_in_one_run(self, monkeypatch):
+        monkeypatch.setattr(mbet_module, "TRIE_MIN_TRAVERSED", 6)
+        algo = _CountingMBET()
+        algo.run(_mixed_graph(), collect=False)
+        assert {type(s.inner) for s in algo.stores} == {_ListQ, _TrieQ}
+
+    @pytest.mark.parametrize("use_trie", [True, False, None])
+    def test_checks_plus_pruned_is_summed_q(self, monkeypatch, use_trie):
+        # under None the low threshold makes one run mix both stores
+        monkeypatch.setattr(mbet_module, "TRIE_MIN_TRAVERSED", 6)
+        algo = _CountingMBET(use_trie=use_trie)
+        stats = algo.run(_mixed_graph(), collect=False).stats
+        summed_q = sum(s.summed_q for s in algo.stores)
+        # a trie store whose descents visited more nodes than a scan
+        # touches prunes nothing; its extra visits stay in checks
+        overshoot = sum(max(0, s.checks - s.summed_q) for s in algo.stores)
+        assert summed_q > 0
+        assert stats.checks == sum(s.checks for s in algo.stores)
+        assert stats.checks + stats.trie_pruned == summed_q + overshoot
+        if use_trie is False:
+            assert stats.checks == summed_q and stats.trie_pruned == 0
+        if use_trie is not False:
+            assert stats.trie_pruned > 0
+
+    def test_summed_q_is_store_independent(self):
+        # the search is the same whichever store answers it
+        totals = set()
+        for flag in (True, False, None):
+            algo = _CountingMBET(use_trie=flag)
+            algo.run(_mixed_graph(), collect=False)
+            totals.add(sum(s.summed_q for s in algo.stores))
+        assert len(totals) == 1
+
+    def test_trie_fold_counts_node_visits(self):
+        store = _TrieQ(max_nodes=None)
+        for mask in (0b0111, 0b1110, 0b1011):
+            store.insert(mask)
+        store.has_superset(0b0110)
+        stats = EnumerationStats()
+        store.fold_into(stats)
+        assert stats.checks == store.trie.node_visits
+        assert stats.checks + stats.trie_pruned == max(stats.checks, 3)

@@ -25,7 +25,8 @@ class TestBudgetedEnumeration:
         for _ in range(40):
             g = random_bigraph(rng)
             truth = run(g, "bruteforce").biclique_set()
-            assert run(g, "mbetm", max_nodes=budget).biclique_set() == truth
+            got = run(g, "mbetm", max_nodes=budget, use_trie=True)
+            assert got.biclique_set() == truth
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
@@ -40,15 +41,19 @@ class TestBudgetedEnumeration:
 
         g = planted_bicliques(200, 120, 80, (2, 6), (2, 6), 300, seed=4)
         budget = 64
-        result = run_mbe(g, "mbetm", max_nodes=budget, collect=False)
-        assert result.stats.trie_peak_nodes <= budget
+        result = run_mbe(
+            g, "mbetm", max_nodes=budget, use_trie=True, collect=False
+        )
+        assert 0 < result.stats.trie_peak_nodes <= budget
 
     def test_small_budget_overflows_more(self):
         from repro import planted_bicliques
 
         g = planted_bicliques(200, 120, 80, (2, 6), (2, 6), 300, seed=4)
-        tight = run_mbe(g, "mbetm", max_nodes=32, collect=False)
-        roomy = run_mbe(g, "mbetm", max_nodes=1 << 16, collect=False)
+        tight = run_mbe(g, "mbetm", max_nodes=32, use_trie=True, collect=False)
+        roomy = run_mbe(
+            g, "mbetm", max_nodes=1 << 16, use_trie=True, collect=False
+        )
         assert tight.stats.trie_overflow > roomy.stats.trie_overflow
         assert tight.count == roomy.count
 

@@ -103,6 +103,26 @@ class TestAgreement:
         assert result.stats.subtrees > 0
         assert result.stats.maximal == result.count == 6
 
+    def test_sliced_roots_use_the_engine_store(self):
+        # bound_size=1 slices every splittable root; sliced roots build
+        # their store through the engine, so the linear-scan pin holds
+        # and their checks are folded exactly as the serial run's are
+        g = load("mti")
+        options = {"workers": 1, "bound_height": 1, "bound_size": 1,
+                   "collect": False}
+        sliced = ParallelMBE(bound_height=1, bound_size=1)._make_tasks(g)
+        assert len(sliced) > len(ParallelMBE()._make_tasks(g))
+        scan = run_mbe(g, "parallel", engine_options={"use_trie": False},
+                       **options)
+        serial = run_mbe(g, "mbet", use_trie=False, collect=False)
+        assert scan.count == serial.count
+        assert scan.stats.trie_peak_nodes == 0
+        assert scan.stats.checks == serial.stats.checks
+        trie = run_mbe(g, "parallel", engine_options={"use_trie": True},
+                       **options)
+        assert trie.count == serial.count
+        assert trie.stats.trie_peak_nodes > 0
+
     def test_orientation(self, g0):
         result = run_mbe(
             g0.swap_sides(), "parallel", workers=1, orient_smaller_v=True

@@ -47,6 +47,7 @@ from repro.plan import (
     root_cost_estimates,
 )
 from repro.plan.features import FEATURES_VERSION, PlanFeatures
+from repro.plan.planner import BUDGET_FLOOR_SECONDS
 from tests.conftest import make_g0
 
 
@@ -248,6 +249,12 @@ class TestBuildPlan:
         assert not para.eligible
         assert "tiny graph" in para.reasons[0]
         assert "parallel" not in plan.engine_chain()
+
+    def test_tiny_graph_gets_the_budget_floor(self, g0):
+        # 20x G0's extrapolated prediction would clamp to the 600s
+        # ceiling; serve jobs without a time limit inherit this budget
+        plan = build_plan(g0, n_cores=1)
+        assert plan.budget_seconds == BUDGET_FLOOR_SECONDS == 5.0
 
     def test_parallel_wins_on_heavy_graph_with_cores(self):
         heavy = _zoo_features(

@@ -50,7 +50,9 @@ def test_parallel_split_at_scale(name, reference_counts):
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_tiny_trie_budget_at_scale(name, reference_counts):
-    result = run_mbe(GRAPHS[name], "mbetm", max_nodes=8, collect=False)
+    result = run_mbe(
+        GRAPHS[name], "mbetm", max_nodes=8, use_trie=True, collect=False
+    )
     assert result.count == reference_counts[name]
     assert result.stats.trie_peak_nodes <= 8
 
