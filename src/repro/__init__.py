@@ -61,7 +61,6 @@ from repro.core import (
     EnumerationStats,
     MBEResult,
     MBET,
-    MBETIterative,
     MBETM,
     MaximumBicliqueResult,
     available_algorithms,
@@ -108,7 +107,6 @@ __all__ = [
     "Instrumentation",
     "MBEResult",
     "MBET",
-    "MBETIterative",
     "MBETM",
     "MaximumBicliqueResult",
     "ProgressReporter",

@@ -313,7 +313,6 @@ def exp_f6_ablation(quick: bool = False) -> ExperimentResult:
         ("w/o trie", "mbet", {"use_trie": False}),
         ("w/o merge", "mbet", {"use_merge": False}),
         ("w/o sort", "mbet", {"use_sort": False}),
-        ("vectorized", "mbet_vec", {}),
     ]
     headers = ["dataset"] + [label for label, _, _ in variants]
     rows = []
@@ -327,7 +326,7 @@ def exp_f6_ablation(quick: bool = False) -> ExperimentResult:
     return ExperimentResult(
         "R-F6",
         "Ablation of MBET's techniques (runtime in seconds)",
-        tables=[("Each column disables or replaces one technique", headers, rows)],
+        tables=[("Each column disables or pins one technique", headers, rows)],
         notes=["Expected shape: merging and sorting ablations are slower "
                "than full mbet.  Merging is, consistently.  Sorting no "
                "longer separates from mbet now that mbet runs the linear "
@@ -341,15 +340,7 @@ def exp_f6_ablation(quick: bool = False) -> ExperimentResult:
                "and shows the full-scale datasets sit beyond it.  The "
                "default 'mbet' column picks the store per subproblem "
                "(trie from |Q| >= 2048), so at zoo scale it runs the "
-               "linear scan and tracks 'w/o trie'.",
-               "'vectorized' swaps the int-bitmask inner loop for the "
-               "batched uint64 kernels in repro.setops.kernels.  The "
-               "per-group numpy formulation this column used to measure "
-               "was a documented negative result (per-node dispatch "
-               "dominated on narrow nodes); the batched hybrid flips it — "
-               "wide subtrees run on packed row batches and narrow ones "
-               "drop down to the int path, so the column now tracks mbet "
-               "(see docs/performance.md for the crossover study)."],
+               "linear scan and tracks 'w/o trie'."],
     )
 
 

@@ -11,8 +11,8 @@ by differential comparison against independent baselines:
   plus constructor options, or an explicit factory).
 * :mod:`repro.check.oracles` — the oracle battery: definitional
   verification (:mod:`repro.core.verify`), cross-engine set equality,
-  a setops differential oracle (packed kernels vs the sorted-list and
-  Python-int references), vertex-relabeling equivariance, U/V-swap
+  a setops differential oracle (sorted-list and Python-int set
+  operations vs ``set``), vertex-relabeling equivariance, U/V-swap
   symmetry, threshold monotonicity, budget-prefix soundness, and
   kill/resume parity.
 * :mod:`repro.check.shrink` — greedy vertex/edge deletion that minimizes

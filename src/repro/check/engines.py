@@ -20,12 +20,12 @@ from repro.core.base import ALGORITHMS, Biclique, MBEResult
 #: it is the harness's *reference*, consulted separately on small graphs.
 DEFAULT_ENGINE_NAMES: tuple[str, ...] = (
     "naive", "mbea", "imbea", "pmbe", "oombea",
-    "mbet", "mbet_iter", "mbet_vec", "mbetm", "parallel",
+    "mbet", "mbetm", "parallel",
 )
 
 #: Engines that implement size-constrained mining (min_left / min_right).
 CONSTRAINED_ENGINES: frozenset[str] = frozenset(
-    {"mbet", "mbet_iter", "mbet_vec", "mbetm", "parallel"}
+    {"mbet", "mbetm", "parallel"}
 )
 
 #: Option variants sampled per case, exercising ablation flags and the
@@ -38,35 +38,16 @@ ENGINE_VARIANTS: dict[str, tuple[dict[str, Any], ...]] = {
         {"use_sort": False}, {"use_trie": True, "trie_max_nodes": 4},
         {"orient_smaller_v": True},
     ),
-    "mbet_iter": (
-        {}, {"use_trie": True}, {"orient_smaller_v": True},
-        {"use_trie": True, "trie_max_nodes": 4},
-    ),
-    "mbet_vec": (
-        {}, {"use_merge": False}, {"use_trie": True, "trie_max_nodes": 4},
-        # force every subtree through the packed-kernel path, and exercise
-        # the mid-recursion int-path drop-down at a tiny threshold
-        {"kernel_policy": "always"},
-        {"kernel_policy": "always", "use_sort": False},
-        {"kernel_min_groups": 2},
-        {"kernel_min_groups": 3},
-        {"kernel_policy": "never"},
-    ),
     "mbetm": ({}, {"use_trie": True}, {"use_trie": True, "max_nodes": 8}),
     "parallel": (
         {"workers": 1, "bound_height": 1, "bound_size": 1},
+        # engine_options as a pair-tuple keeps the spec hashable
         {
             "workers": 1, "bound_height": 1, "bound_size": 1,
             "engine_options": (("use_trie", True),),
         },
         {"workers": 1, "bound_height": 1, "bound_size": 8},
         {"workers": 1},
-        {"workers": 1, "engine": "mbet_vec"},
-        # engine_options as a pair-tuple keeps the spec hashable
-        {
-            "workers": 1, "engine": "mbet_vec",
-            "engine_options": (("kernel_policy", "always"),),
-        },
     ),
     "oombea": ({}, {"order": "random"}),
 }

@@ -24,12 +24,11 @@ Oracles
 ``plan``           planner soundness: the configuration ``repro.plan``
                    picks for the graph enumerates the exact maximal
                    biclique set the reference produces.
-``setops``         set-operation substrate agreement: the batched uint64
-                   kernel layer, the sorted-sequence operations, and
-                   :class:`~repro.setops.bitmap.Bitmap` must compute
-                   identical intersections/unions/predicates on the
-                   graph's adjacency rows plus seeded random and
-                   adversarial rows.
+``setops``         set-operation substrate agreement: the sorted-sequence
+                   operations and :class:`~repro.setops.bitmap.Bitmap`
+                   must compute the intersections/unions/predicates of
+                   ``set`` on the graph's adjacency rows plus seeded
+                   random and adversarial rows.
 """
 
 from __future__ import annotations
@@ -307,22 +306,19 @@ def plan_oracle(min_left: int = 1, min_right: int = 1) -> Oracle:
 
 
 def setops_oracle(seed: int = 0, max_rows: int = 24) -> Oracle:
-    """Differential agreement across the three set-operation substrates.
+    """Differential agreement of the set-operation substrates with ``set``.
 
     Every enumeration engine reduces to set operations; this oracle takes
     the graph's own V-side adjacency rows (sets of U ids) plus seeded
-    random and adversarial rows, and checks that the batched uint64
-    kernel layer (:mod:`repro.setops.kernels`), the sorted-sequence
-    operations (:mod:`repro.setops.sorted_ops`), and
-    :class:`~repro.setops.bitmap.Bitmap` all agree with plain ``set``
-    semantics — intersections, classification popcounts, subset/disjoint
-    predicates, equal-row grouping, and the word-level partitioned union.
-    Any future kernel change gets free correctness evidence on every fuzz
-    case.
+    random and adversarial rows, and checks that the sorted-sequence
+    operations (:mod:`repro.setops.sorted_ops`) and
+    :class:`~repro.setops.bitmap.Bitmap` agree with plain ``set``
+    semantics — intersections, cardinalities, subset/disjoint predicates
+    and unions.
     """
 
     def check(graph: BipartiteGraph) -> OracleFailure | None:
-        from repro.setops import kernels, sorted_ops
+        from repro.setops import sorted_ops
         from repro.setops.bitmap import Bitmap
 
         rng = random.Random(seed)
@@ -332,7 +328,7 @@ def setops_oracle(seed: int = 0, max_rows: int = 24) -> Oracle:
         ]
         if len(rows) > max_rows:
             rows = rng.sample(rows, max_rows)
-        # adversarial rows: empty, full universe, word-edge singletons,
+        # adversarial rows: empty, full universe, edge singletons,
         # alternating stripes — then seeded random fill
         universe = list(range(n_bits))
         rows += [[], universe, [0], [n_bits - 1], universe[::2], universe[1::2]]
@@ -342,75 +338,44 @@ def setops_oracle(seed: int = 0, max_rows: int = 24) -> Oracle:
             )
 
         sets = [frozenset(r) for r in rows]
-        matrix = kernels.pack_indices(rows, n_bits)
+        bitmaps = [Bitmap(r) for r in rows]
 
         def fail(detail: str) -> OracleFailure:
-            return OracleFailure("setops", "kernels", detail)
+            return OracleFailure("setops", "sorted_ops+Bitmap", detail)
 
-        # row packing and popcounts
-        pcs = kernels.popcount_rows(matrix)
         for i, s in enumerate(sets):
-            if kernels.unpack_indices(matrix[i]).tolist() != sorted(s):
-                return fail(f"pack/unpack row {i} != {sorted(s)}")
-            if int(pcs[i]) != len(s):
-                return fail(f"popcount row {i}: {int(pcs[i])} != {len(s)}")
+            if bitmaps[i].to_list() != sorted(s) or len(bitmaps[i]) != len(s):
+                return fail(f"Bitmap row {i} != {sorted(s)}")
 
-        # batched filter against a few pivot rows, vs set and Bitmap
+        # every row against a few pivot rows
         pivots = [i for i, s in enumerate(sets) if s][:4] or [0]
         for p in pivots:
-            row, ps = matrix[p], sets[p]
-            inter, pc, full, nonzero = kernels.filter_batch(
-                matrix, row, int(pcs[p])
-            )
-            sub = kernels.subset_reduce(matrix, row)
-            dis = kernels.disjoint_reduce(matrix, row)
-            bp = Bitmap(sorted(ps))
+            ps, pivot, bp = sets[p], rows[p], bitmaps[p]
             for i, s in enumerate(sets):
                 want = s & ps
-                bi = Bitmap(sorted(s))
-                if kernels.unpack_indices(inter[i]).tolist() != sorted(want):
-                    return fail(f"filter inter[{i}] vs pivot {p} != set &")
-                if sorted(bi & bp) != sorted(want):
+                row, bi = rows[i], bitmaps[i]
+                if (bi & bp).to_list() != sorted(want):
                     return fail(f"Bitmap & diverges on row {i} vs pivot {p}")
-                if sorted_ops.intersect(rows[i], sorted(ps)) != sorted(want):
+                if sorted_ops.intersect(row, pivot) != sorted(want):
                     return fail(
                         f"sorted_ops.intersect diverges on row {i} "
                         f"vs pivot {p}"
                     )
-                if int(pc[i]) != len(want):
-                    return fail(f"filter pc[{i}] vs pivot {p} != |set &|")
-                if bool(full[i]) != (want == ps):
-                    return fail(f"filter full[{i}] vs pivot {p} misclassified")
-                if bool(nonzero[i]) != bool(want):
+                if sorted_ops.intersect_size(row, pivot) != len(want):
                     return fail(
-                        f"filter nonzero[{i}] vs pivot {p} misclassified"
+                        f"sorted_ops.intersect_size diverges on row {i} "
+                        f"vs pivot {p}"
                     )
-                if bool(sub[i]) != (s <= ps):
-                    return fail(f"subset_reduce[{i}] vs pivot {p} wrong")
-                if bool(sub[i]) != sorted_ops.is_subset(rows[i], sorted(ps)):
+                if bi.issubset(bp) != (s <= ps):
+                    return fail(f"Bitmap.issubset[{i}] vs pivot {p} wrong")
+                if sorted_ops.is_subset(row, pivot) != (s <= ps):
                     return fail(
-                        f"subset_reduce[{i}] vs sorted_ops.is_subset "
-                        f"(pivot {p})"
+                        f"sorted_ops.is_subset[{i}] vs pivot {p} wrong"
                     )
-                if bool(dis[i]) != (not want):
-                    return fail(f"disjoint_reduce[{i}] vs pivot {p} wrong")
+                if bi.isdisjoint(bp) != (not want):
+                    return fail(f"Bitmap.isdisjoint[{i}] vs pivot {p} wrong")
 
-        # equal-row grouping == dict grouping on int masks
-        unique, inverse = kernels.group_rows(matrix)
-        masks = kernels.unpack_masks(matrix)
-        if sorted(kernels.unpack_masks(unique)) != sorted(set(masks)):
-            return fail("group_rows unique set != dict grouping")
-        if kernels.unpack_masks(unique[inverse]) != masks:
-            return fail("group_rows inverse does not reconstruct rows")
-
-        # word-level partitioned union == sorted_ops.union_many == set union
         want_union = sorted(frozenset().union(*sets))
-        for lanes in (1, 4, 7, 2 * kernels.words_for(n_bits) + 3):
-            got = kernels.partitioned_union_rows(matrix, lanes).tolist()
-            if got != want_union:
-                return fail(
-                    f"partitioned_union_rows(lanes={lanes}) != set union"
-                )
         if sorted_ops.union_many(rows) != want_union:
             return fail("sorted_ops.union_many != set union")
         return None

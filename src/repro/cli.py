@@ -1199,8 +1199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="enumerate and summarize bicliques")
     add_graph_source(p_an)
     p_an.add_argument("--algorithm", "-a", default="mbet",
-                      choices=["mbet", "mbet_iter", "mbet_vec", "mbetm",
-                               "parallel"],
+                      choices=["mbet", "mbetm", "parallel"],
                       help="size-constraint-capable algorithms only")
     p_an.add_argument("--min-left", type=int, default=1)
     p_an.add_argument("--min-right", type=int, default=1)

@@ -33,8 +33,6 @@ from repro.core.maxsearch import (
     find_maximum_biclique,
 )
 from repro.core.mbet import MBET
-from repro.core.mbet_iter import MBETIterative
-from repro.core.mbet_vec import MBETVectorized
 from repro.core.mbetm import MBETM
 from repro.core.oombea import OOMBEA
 from repro.core.parallel import ParallelMBE
@@ -55,9 +53,7 @@ __all__ = [
     "MBEA",
     "MBEResult",
     "MBET",
-    "MBETIterative",
     "MBETM",
-    "MBETVectorized",
     "MaximumBicliqueResult",
     "NaiveMBE",
     "OOMBEA",

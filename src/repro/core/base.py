@@ -63,11 +63,6 @@ class EnumerationStats:
     ``trie_peak_nodes``  peak prefix-tree size (MBET/MBETM only)
     ``trie_overflow``    containment sets that did not fit the trie budget
     ``threshold_pruned`` branches cut by min_left/min_right bounds
-    ``kernel_nodes``     enumeration nodes expanded on the packed-kernel
-                         path (mbet_vec only; ``nodes - kernel_nodes``
-                         ran on the int-mask path)
-    ``kernel_batches``   batched filter kernel dispatches
-    ``kernel_rows``      candidate rows processed by those dispatches
     """
 
     __slots__ = (
@@ -82,9 +77,6 @@ class EnumerationStats:
         "trie_peak_nodes",
         "trie_overflow",
         "threshold_pruned",
-        "kernel_nodes",
-        "kernel_batches",
-        "kernel_rows",
     )
 
     def __init__(self) -> None:

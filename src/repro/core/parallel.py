@@ -73,24 +73,6 @@ _FLUSH_EVERY = 16
 _WORKER: dict = {}
 
 
-def _worker_engine(name: str):
-    """Resolve the per-worker engine class by name.
-
-    Workers run one whole first-level subtree (or a root slice of one)
-    in-process, so any MBET-family engine slots in; lazy imports keep the
-    fork initializer light and avoid import cycles.
-    """
-    if name == "mbet":
-        return MBET
-    if name == "mbet_vec":
-        from repro.core.mbet_vec import MBETVectorized
-
-        return MBETVectorized
-    raise ValueError(
-        f"unknown worker engine {name!r}; expected 'mbet' or 'mbet_vec'"
-    )
-
-
 def subtree_estimate(
     graph: BipartiteGraph, v: int, bound_size: int = 256
 ) -> tuple[int, int]:
@@ -226,12 +208,10 @@ def _init_worker(
     deadline: float | None,
     inline: bool = False,
 ) -> None:
-    options = dict(algo_options)
-    engine = _worker_engine(options.pop("engine", "mbet"))
     _WORKER.update(
         graph=graph,
         rank=rank,
-        algo=engine(**options),
+        algo=MBET(**algo_options),
         collect=collect,
         faults=faults,
         cancel_event=cancel_event,
@@ -383,16 +363,14 @@ class ParallelMBE(MBEAlgorithm):
         min_left: int = 1,
         min_right: int = 1,
         root_range: tuple[int, int] | list[int] | None = None,
-        engine: str = "mbet",
         engine_options: dict | None = None,
     ):
         super().__init__(orient_smaller_v=orient_smaller_v)
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        _worker_engine(engine)  # validate the name up front
         # a mapping or an (hashable) iterable of key/value pairs
         engine_options = dict(engine_options) if engine_options else {}
-        reserved = {"order", "seed", "min_left", "min_right", "engine"}
+        reserved = {"order", "seed", "min_left", "min_right"}
         clash = reserved & set(engine_options)
         if clash:
             raise ValueError(
@@ -431,7 +409,6 @@ class ParallelMBE(MBEAlgorithm):
         self.min_left = min_left
         self.min_right = min_right
         self.root_range = root_range
-        self.engine = engine
         self.engine_options = dict(engine_options)
 
     # The framework hook is unused: run() is overridden wholesale because
@@ -508,7 +485,9 @@ class ParallelMBE(MBEAlgorithm):
             "root_range": (
                 list(self.root_range) if self.root_range is not None else None
             ),
-            "engine": self.engine,
+            # the worker engine, constant since MBET is the only one;
+            # kept so checkpoints written while it was a choice resume
+            "engine": "mbet",
             "engine_options": dict(sorted(self.engine_options.items())),
             "collect": collect,
         }
@@ -570,7 +549,6 @@ class ParallelMBE(MBEAlgorithm):
         # thresholds are stated in caller coordinates; a swapped work
         # graph swaps which side each one binds
         algo_options = {
-            "engine": self.engine,
             "order": self.order,
             "seed": self.seed,
             "min_left": self.min_right if swapped else self.min_left,

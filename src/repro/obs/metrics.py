@@ -255,9 +255,6 @@ _STAT_HELP = {
     "trie_peak_nodes": "peak prefix-tree size",
     "trie_overflow": "containment sets that did not fit the trie budget",
     "threshold_pruned": "branches cut by min_left/min_right bounds",
-    "kernel_nodes": "enumeration nodes expanded on the packed-kernel path",
-    "kernel_batches": "batched bitmap filter kernel dispatches",
-    "kernel_rows": "candidate rows processed by batched kernel dispatches",
 }
 
 

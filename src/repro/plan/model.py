@@ -19,7 +19,7 @@ Two jobs live here:
   coefficients (the work-bound shape with a unit-cost scale) and
   *calibrated* by :func:`fit_coefficients` — a ridge least-squares fit
   over the crossover records a ``BENCH_*.json`` snapshot carries
-  (``tools/bench_snapshot.py`` measures zoo graphs × registry engines).
+  (``tools/bench_snapshot.py`` measures zoo graphs × planner engines).
   The committed defaults below were fit from the committed snapshot;
   ``docs/planning.md`` describes the recalibration workflow.
 
@@ -31,6 +31,7 @@ wins, which matches measurement (R-F9).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
@@ -41,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.bigraph.stats import GraphStats
 
 __all__ = [
+    "CALIBRATION_MAX_DENSITY",
     "CostModel",
     "DEFAULT_COEFFICIENTS",
     "MODEL_VERSION",
@@ -50,7 +52,7 @@ __all__ = [
     "fit_coefficients",
 ]
 
-MODEL_VERSION = "v1"
+MODEL_VERSION = "v2"
 
 #: Fixed per-task overhead of the process-pool engine (pool spin-up,
 #: graph shipping, result marshalling), in seconds.
@@ -104,29 +106,19 @@ ANALYTIC_SEED: tuple[float, ...] = (
 
 #: Calibrated per-engine coefficients, fit by :func:`fit_coefficients`
 #: from the crossover matrix in the committed ``BENCH_2026-08-08a.json``
-#: snapshot (13 zoo graphs × 8 engines at a 15s budget, with ``mbet_vec``
-#: on the batched kernel layer; see ``docs/planning.md`` for the
-#: recalibration workflow).
+#: snapshot (13 zoo graphs at a 15s budget; see ``docs/planning.md`` for
+#: the recalibration workflow).  The planner serves MBET, with MBEA as
+#: its one independent fallback.
 DEFAULT_COEFFICIENTS: dict[str, tuple[float, ...]] = {
-    "imbea": (-13.80619, 0.93536, 0.810028, 1.001548, 29.246492, -1.433221),
     "mbea": (-11.188191, 0.632014, 0.71818, 0.561571, 32.824558, -1.033809),
     "mbet": (-12.571888, 0.725369, 0.744103, 0.442181, 38.936554, -1.195343),
-    "mbet_iter": (
-        -11.010318, 0.605405, 0.717159, 0.335269, 39.086724, -1.140103
-    ),
-    "mbet_vec": (
-        -12.481754, 0.709531, 0.756353, 0.402641, 39.163125, -1.186208
-    ),
-    "mbetm": (
-        -11.534497, 0.67563, 0.705697, 0.452464, 40.998957, -1.197739
-    ),
-    "oombea": (
-        -13.045556, 0.471648, 0.872443, 0.868397, 50.000447, -1.148559
-    ),
-    "pmbe": (
-        -14.025894, 0.730818, 0.887183, 0.831172, 36.310934, -1.299066
-    ),
 }
+
+#: Densest graph of that calibration set (the ``dbt`` zoo graph).  Scoring
+#: clamps density here: with a density weight near 40, a dense graph
+#: outside the fitted range (K10,10 has density 1.0) would otherwise be
+#: predicted to run for years and be planned onto the process pool.
+CALIBRATION_MAX_DENSITY = 0.0401
 
 
 class CostModel:
@@ -156,6 +148,10 @@ class CostModel:
         """Predicted wall-clock seconds for ``engine`` on ``features``."""
         if engine == "parallel":
             return self._predict_parallel(features)
+        if features.density > CALIBRATION_MAX_DENSITY:
+            features = dataclasses.replace(
+                features, density=CALIBRATION_MAX_DENSITY
+            )
         phi = feature_basis(features)
         coef = self.coefficients.get(engine, ANALYTIC_SEED)
         log_t = sum(c * x for c, x in zip(coef, phi))

@@ -42,13 +42,11 @@ __all__ = [
     "root_cost_estimates",
 ]
 
-#: Engines the planner considers, in tie-break preference order.
-#: ``bruteforce`` and ``naive`` are reference baselines, deliberately
-#: absent: they exist to check answers, not to serve traffic.
-PLANNER_ENGINES: tuple[str, ...] = (
-    "mbet_vec", "mbet", "mbet_iter", "mbetm", "imbea", "mbea", "pmbe",
-    "oombea", "parallel",
-)
+#: Engines the planner considers, in tie-break preference order: MBET,
+#: MBEA as the one fallback that shares no code with it, and the process
+#: pool.  The other registered engines are references for experiments and
+#: the fuzz battery: they exist to check answers, not to serve traffic.
+PLANNER_ENGINES: tuple[str, ...] = ("mbet", "mbea", "parallel")
 
 #: Graphs below this many edges pick ``natural`` ordering and never plan
 #: onto ``parallel``: enumeration is microseconds either way, so the

@@ -15,10 +15,10 @@ three-state breaker:
   Success closes the breaker; failure reopens it (and restarts the
   cooldown).
 
-The default fallback chain mirrors the engines' robustness ordering:
-``mbet_vec`` (fastest, needs numpy and the widest native surface) →
-``mbet`` (pure-Python reference) → ``mbea`` (the simplest baseline).
-A requested engine outside the chain is tried first, then the chain.
+The default fallback chain is ``mbet`` → ``mbea``: the paper's engine,
+then the one baseline that shares no code with it, so a fault in MBET's
+search cannot take the fallback down too.  A requested engine outside
+the chain is tried first, then the chain.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable, Iterable
 __all__ = ["BreakerOpen", "BreakerRegistry", "CircuitBreaker", "FALLBACK_CHAIN"]
 
 #: Engines tried, in order, after the requested one (de-duplicated).
-FALLBACK_CHAIN = ("mbet_vec", "mbet", "mbea")
+FALLBACK_CHAIN = ("mbet", "mbea")
 
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
 

@@ -24,10 +24,18 @@ import uuid
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-__all__ = ["Job", "JobSpec", "JobValidationError", "TERMINAL_STATES"]
+__all__ = [
+    "Job", "JobSpec", "JobValidationError", "RETIRED_ENGINES",
+    "TERMINAL_STATES",
+]
 
 #: States a job never leaves (short of a journal wipe).
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
+
+#: Engine names that left the registry when MBET became one engine.  A
+#: spec naming one (an older client, or a journal written before) is
+#: still admitted and runs on the planned chain, which MBET heads.
+RETIRED_ENGINES = frozenset({"mbet_iter", "mbet_vec"})
 
 
 class JobValidationError(ValueError):
@@ -47,7 +55,7 @@ class JobSpec:
     ``--allow-faults``.
     """
 
-    engine: str = "mbet_vec"
+    engine: str = "mbet"
     dataset: str | None = None
     graph_path: str | None = None
     edges: list | None = None

@@ -48,6 +48,7 @@ from repro.serve.breaker import (
     BreakerRegistry,
 )
 from repro.serve.jobs import (
+    RETIRED_ENGINES,
     TERMINAL_STATES,
     Job,
     JobSpec,
@@ -334,7 +335,7 @@ class EnumerationService:
                 "fault injection is disabled (server runs without "
                 "--allow-faults)"
             )
-        if spec.engine not in ALGORITHMS:
+        if spec.engine not in ALGORITHMS and spec.engine not in RETIRED_ENGINES:
             raise JobValidationError(
                 f"unknown engine {spec.engine!r}; "
                 f"available: {sorted(ALGORITHMS)}"
@@ -827,7 +828,9 @@ class EnumerationService:
           for *this* graph, composed with live breaker state (an open
           breaker demotes its engine behind every healthy one).  The
           requested engine still runs first: the planner replaces the
-          guessed fallback order, not the caller's explicit choice.
+          guessed fallback order, not the caller's explicit choice.  A
+          retired engine name is not in the registry, so its job runs
+          the planned chain alone.
         """
         if spec.no_fallback:
             return ([spec.engine] if spec.engine in ALGORITHMS else []), None

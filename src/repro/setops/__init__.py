@@ -19,29 +19,10 @@ This package provides the three representations those algorithms use:
     partitioned set union used by warp-cooperative GPU implementations in
     this literature.  Partitioning the merge grid into independent lanes is
     a pure algorithm and is tested as such.
-
-``kernels``
-    Batched uint64-word bitmap kernels: whole candidate batches are
-    packed into ``(n, words)`` matrices and intersected/classified in a
-    handful of numpy dispatches, with a word-level realization of the
-    merge-path partitioned union.  This is the hot-path backend of
-    :class:`repro.core.mbet_vec.MBETVectorized` and the packed side of
-    :meth:`SignatureSpace.encode_rows`.
 """
 
-from repro.setops import kernels
 from repro.setops.bitmap import Bitmap, SignatureSpace
 from repro.setops.intersect_path import merge_path_partitions, partitioned_union
-from repro.setops.kernels import (
-    filter_batch,
-    kernel_meta,
-    pack_masks,
-    partitioned_union_rows,
-    popcount_backend,
-    popcount_rows,
-    unpack_masks,
-    words_for,
-)
 from repro.setops.sorted_ops import (
     galloping_intersect,
     intersect,
@@ -54,27 +35,32 @@ from repro.setops.sorted_ops import (
     union_many,
 )
 
+
+def kernel_meta() -> dict:
+    """The set-operation backend of this process, for benchmark snapshots.
+
+    Every set operation is pure Python over ints and sorted sequences, so
+    the one library version a timing can depend on is numpy's (the graph
+    generators draw from it).
+    """
+    import numpy
+
+    return {"numpy": numpy.__version__}
+
+
 __all__ = [
     "Bitmap",
     "SignatureSpace",
-    "filter_batch",
     "galloping_intersect",
     "intersect",
     "intersect_size",
     "is_strict_subset",
     "is_subset",
     "kernel_meta",
-    "kernels",
     "merge_path_partitions",
     "multi_intersect",
-    "pack_masks",
     "partitioned_union",
-    "partitioned_union_rows",
-    "popcount_backend",
-    "popcount_rows",
     "set_difference",
     "union",
     "union_many",
-    "unpack_masks",
-    "words_for",
 ]

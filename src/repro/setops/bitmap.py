@@ -13,10 +13,7 @@ and the tests; the hot paths in :mod:`repro.core.mbet` work on raw ints.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
+from typing import Iterable, Iterator, Sequence
 
 
 class Bitmap:
@@ -180,68 +177,3 @@ class SignatureSpace:
     def decode_bitmap(self, mask: int) -> Bitmap:
         """Return the mask as a :class:`Bitmap` over bit positions."""
         return Bitmap(bits=mask)
-
-    # -- packed-row (kernel) interface ------------------------------------
-    #
-    # For universes wider than a machine word, Python-int masks pay
-    # arbitrary-precision arithmetic per operation.  The methods below
-    # expose the same encode/decode bijection as ``(n, words)`` uint64
-    # row batches consumable by :mod:`repro.setops.kernels`, so an
-    # engine can choose int-mask vs packed-kernel per subtree.
-
-    @property
-    def words(self) -> int:
-        """uint64 words needed to pack one signature of this space."""
-        from repro.setops import kernels
-
-        return kernels.words_for(len(self._universe))
-
-    def pack(self, masks: Sequence[int]) -> "np.ndarray":
-        """Pack int masks of this space into a ``(n, words)`` row batch."""
-        from repro.setops import kernels
-
-        return kernels.pack_masks(masks, self.words)
-
-    def encode_rows(
-        self, rows: Sequence[Iterable[int]], *, kernel_min_words: int = 2
-    ) -> "np.ndarray":
-        """Encode vertex-id iterables straight into a packed row batch.
-
-        Row ``i`` of the result is ``encode(rows[i])`` in packed form.
-        Universes of at least ``kernel_min_words`` words take a fully
-        vectorized path (one ``searchsorted`` to resolve positions, one
-        scatter-OR to set bits); narrower ones encode per row — there a
-        single ``int`` mask is cheaper than array set-up costs.
-        """
-        from repro.setops import kernels
-
-        words = self.words
-        if words < kernel_min_words or not rows:
-            return kernels.pack_masks([self.encode(r) for r in rows], words)
-        import numpy as np
-
-        uni = np.asarray(self._universe, dtype=np.int64)
-        row_ids: list[int] = []
-        flat: list[int] = []
-        for i, row in enumerate(rows):
-            before = len(flat)
-            flat.extend(row)
-            row_ids.extend([i] * (len(flat) - before))
-        out = np.zeros((len(rows), words), dtype=np.uint64)
-        if not flat:
-            return out
-        ids = np.asarray(flat, dtype=np.int64)
-        idx = np.searchsorted(uni, ids)
-        # encode() drops out-of-universe ids; mirror that exactly
-        valid = (idx < uni.size) & (uni[np.minimum(idx, uni.size - 1)] == ids)
-        pos = idx[valid]
-        owners = np.asarray(row_ids, dtype=np.int64)[valid]
-        bits = np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64))
-        np.bitwise_or.at(out, (owners, pos >> 6), bits)
-        return out
-
-    def decode_row(self, row: "np.ndarray") -> list[int]:
-        """Decode one packed row back into sorted vertex ids."""
-        from repro.setops import kernels
-
-        return self.decode(kernels.mask_from_row(row))

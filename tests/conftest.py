@@ -17,7 +17,7 @@ from repro import BipartiteGraph, Biclique
 
 #: All registered exact algorithms that must agree with brute force.
 EXACT_ALGORITHMS = (
-    "naive", "mbea", "imbea", "pmbe", "oombea", "mbet", "mbet_iter", "mbet_vec", "mbetm"
+    "naive", "mbea", "imbea", "pmbe", "oombea", "mbet", "mbetm"
 )
 
 
@@ -30,6 +30,13 @@ def make_g0() -> BipartiteGraph:
         (1, 3), (3, 3), (4, 3),            # v3: {u1, u3, u4}
     ]
     return BipartiteGraph(edges, n_u=5, n_v=4)
+
+
+def nested_chain(n: int) -> BipartiteGraph:
+    """V vertex ``v`` sees U ids ``v..n-1``: one maximal biclique per
+    level, and an enumeration path ``n`` levels deep."""
+    edges = [(u, v) for v in range(n) for u in range(v, n)]
+    return BipartiteGraph(edges, n_u=n, n_v=n)
 
 
 #: The six maximal bicliques of G0, as enumerated in the exposition.

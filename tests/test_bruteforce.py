@@ -71,8 +71,10 @@ class TestBruteForceGuards:
             BruteForceMBE(orient_smaller_v=False).run(g)
 
     def test_cap_can_be_raised(self):
-        g = BipartiteGraph([(0, v) for v in range(24)])
-        result = BruteForceMBE(max_side=24, orient_smaller_v=False).run(
+        # one vertex past the default cap of 22: it enumerates all 2^23
+        # subsets, so every extra vertex doubles the test's runtime
+        g = BipartiteGraph([(0, v) for v in range(23)])
+        result = BruteForceMBE(max_side=23, orient_smaller_v=False).run(
             g, collect=False
         )
         assert result.count == 1

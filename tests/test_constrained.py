@@ -53,7 +53,7 @@ class TestKnownAnswers:
 
 
 class TestPruningIsSound:
-    @pytest.mark.parametrize("algo", ["mbet", "mbet_iter", "mbetm"])
+    @pytest.mark.parametrize("algo", ["mbet", "mbetm"])
     @pytest.mark.parametrize("p,q", [(2, 1), (1, 2), (2, 2), (3, 3)])
     def test_equals_filtered_bruteforce(self, algo, p, q, g0):
         truth = {

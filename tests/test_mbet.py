@@ -10,7 +10,7 @@ from repro import random_bipartite, run_mbe
 from repro.core import mbet as mbet_module
 from repro.core.base import EnumerationStats
 from repro.core.mbet import MBET, TRIE_MIN_TRAVERSED, _ListQ, _TrieQ
-from tests.conftest import G0_MAXIMAL, random_bigraph
+from tests.conftest import G0_MAXIMAL, nested_chain, random_bigraph
 
 
 class TestFeatureFlags:
@@ -119,6 +119,19 @@ class TestListQStore:
         assert store.checks == 2
 
 
+class TestDeepChain:
+    def test_deep_chain_restores_recursion_limit(self):
+        # the recursive search runs 400 levels deep; run() raises the
+        # interpreter's limit for the run and puts it back afterwards
+        import sys
+
+        limit = sys.getrecursionlimit()
+        result = run_mbe(nested_chain(400), "mbet", collect=False,
+                         order="natural")
+        assert sys.getrecursionlimit() == limit
+        assert result.count == 400
+
+
 class TestMBETConstruction:
     def test_default_flags(self):
         algo = MBET()
@@ -185,7 +198,7 @@ class TestAdaptiveStore:
             MBET(use_trie=False)._make_store(10 * TRIE_MIN_TRAVERSED), _ListQ
         )
 
-    @pytest.mark.parametrize("engine", ["mbet", "mbet_iter", "mbet_vec", "mbetm"])
+    @pytest.mark.parametrize("engine", ["mbet", "mbetm"])
     def test_mixed_stores_stay_exact(self, monkeypatch, engine):
         g = _mixed_graph()
         truth = run_mbe(g, "bruteforce").biclique_set()

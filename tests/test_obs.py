@@ -379,7 +379,7 @@ class TestSinks:
 
 
 class TestRunIntegration:
-    @pytest.mark.parametrize("algorithm", ["mbet", "mbet_iter", "imbea"])
+    @pytest.mark.parametrize("algorithm", ["mbet", "imbea"])
     def test_registry_matches_result_stats(self, g0, algorithm):
         instr = Instrumentation()
         result = run_mbe(g0, algorithm=algorithm, instrumentation=instr)

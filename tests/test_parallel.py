@@ -9,7 +9,7 @@ import pytest
 from repro import run_mbe
 from repro.core.parallel import ParallelMBE
 from repro.datasets import load
-from tests.conftest import G0_MAXIMAL, random_bigraph
+from tests.conftest import G0_MAXIMAL, nested_chain, random_bigraph
 
 
 class TestConstruction:
@@ -128,6 +128,17 @@ class TestAgreement:
             g0.swap_sides(), "parallel", workers=1, orient_smaller_v=True
         )
         assert result.biclique_set() == {b.swap() for b in G0_MAXIMAL}
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_deep_chain_restores_recursion_limit(self, workers):
+        import sys
+
+        limit = sys.getrecursionlimit()
+        result = run_mbe(nested_chain(400), "parallel", workers=workers,
+                         collect=False, order="natural")
+        assert sys.getrecursionlimit() == limit
+        assert result.count == 400
 
 
 class TestBudgets:
@@ -295,6 +306,28 @@ class TestCheckpointResume:
         assert second.complete is True
         assert second.biclique_set() == truth
         assert second.count == len(truth)
+
+    def test_checkpoint_from_the_engine_choice_era_resumes(
+        self, g0, tmp_path
+    ):
+        # header and two task records exactly as written while the worker
+        # engine was still a parameter ("engine": "mbet" in the header)
+        path = tmp_path / "old.ckpt"
+        path.write_text(
+            '{"n_u":5,"n_v":4,"n_edges":12,"order":"degree","seed":0,'
+            '"bound_height":8,"bound_size":256,"workers":1,'
+            '"orient_smaller_v":false,"min_left":1,"min_right":1,'
+            '"root_range":null,"engine":"mbet","engine_options":{},'
+            '"collect":true,"type":"header","version":1}\n'
+            '{"type":"task","key":"1:0:1","task":[1,0,1],"count":1,'
+            '"stats":{"subtrees":1},"bicliques":[[[0,1,2,3],[1]]]}\n'
+            '{"type":"task","key":"2:0:1","task":[2,0,1],"count":2,'
+            '"stats":{"nodes":1,"checks":1,"subtrees":1},'
+            '"bicliques":[[[0,1,3],[1,2]],[[1,3],[1,2,3]]]}\n'
+        )
+        result = run_mbe(g0, "parallel", workers=1, checkpoint=path)
+        assert result.meta["resumed_tasks"] == 2
+        assert result.biclique_set() == G0_MAXIMAL
 
     def test_checkpoint_survives_torn_tail(self, g0, tmp_path):
         path = tmp_path / "g0.ckpt"

@@ -4,11 +4,13 @@ Pinned here, mirroring docs/planning.md:
 
 * feature extraction matches the stats/components the bigraph layer
   computes, and the persisted feature cache hits on repeat planning;
-* the cost model's calibrated coefficients rank the mbet family ahead
-  of the pivot baselines on zoo-scale features, and the analytic seed
-  covers engines the calibration never measured;
+* the cost model's calibrated coefficients rank mbet ahead of its
+  mbea fallback on zoo-scale features, scoring clamps density to the
+  calibrated range, and the analytic seed covers engines the
+  calibration never measured;
 * golden plans: on zoo graphs the chosen engine is one the crossover
-  matrix actually measured as competitive;
+  matrix actually measured as competitive, and dense graphs outside
+  the calibration plan serial;
 * plan mechanics: threshold-incapable engines are ineligible when the
   job sets thresholds, open breakers demote without disqualifying,
   tiny graphs rank by pool preference, parallel needs cores, a graph
@@ -28,6 +30,7 @@ import math
 import pytest
 
 from repro.artifacts import ArtifactStore, kinds
+from repro.bigraph.generators import random_bipartite
 from repro.bigraph.graph import BipartiteGraph
 from repro.bigraph.stats import compute_stats
 from repro.cli import main
@@ -47,6 +50,7 @@ from repro.plan import (
     root_cost_estimates,
 )
 from repro.plan.features import FEATURES_VERSION, PlanFeatures
+from repro.plan.model import CALIBRATION_MAX_DENSITY
 from repro.plan.planner import BUDGET_FLOOR_SECONDS
 from tests.conftest import make_g0
 
@@ -121,9 +125,17 @@ class TestCostModel:
             e: model.predict_seconds(e, feats)
             for e in DEFAULT_COEFFICIENTS
         }
-        fastest3 = sorted(preds, key=preds.get)[:3]
-        assert set(fastest3) <= {"mbet", "mbet_iter", "mbetm", "mbet_vec"}
+        assert min(preds, key=preds.get) == "mbet"
         assert preds["mbea"] > preds["mbet"]
+
+    def test_density_is_clamped_to_the_calibrated_range(self):
+        model = CostModel(n_cores=1)
+        edge = _zoo_features(density=CALIBRATION_MAX_DENSITY)
+        for density in (0.5, 1.0):
+            dense = _zoo_features(density=density)
+            for engine in DEFAULT_COEFFICIENTS:
+                assert model.predict_seconds(engine, dense) == \
+                    model.predict_seconds(engine, edge)
 
     def test_uncalibrated_engine_scored_by_analytic_seed(self):
         model = CostModel({}, n_cores=1)
@@ -188,9 +200,7 @@ class TestBuildPlan:
         # the wc signature: the crossover matrix measured the mbet
         # family 3-10x ahead of the pivot baselines there
         plan = build_plan(features=_zoo_features(), n_cores=1)
-        assert plan.chosen.engine in {
-            "mbet", "mbet_iter", "mbetm", "mbet_vec"
-        }
+        assert plan.chosen.engine == "mbet"
         assert plan.chosen.ordering == "degree"
         assert plan.budget_seconds >= 5.0
         chain = plan.engine_chain()
@@ -206,9 +216,8 @@ class TestBuildPlan:
     def test_thresholds_reject_incapable_engines(self, g0):
         plan = build_plan(g0, min_left=2, min_right=2, n_cores=1)
         by_engine = {c.engine: c for c in plan.candidates}
-        for engine in ("mbea", "imbea", "pmbe", "oombea"):
-            assert not by_engine[engine].eligible
-            assert "thresholds" in by_engine[engine].reasons[0]
+        assert not by_engine["mbea"].eligible
+        assert "thresholds" in by_engine["mbea"].reasons[0]
         assert by_engine["mbet"].eligible
 
     def test_open_breaker_demotes_but_keeps_engine(self):
@@ -249,6 +258,22 @@ class TestBuildPlan:
         assert not para.eligible
         assert "tiny graph" in para.reasons[0]
         assert "parallel" not in plan.engine_chain()
+
+    @pytest.mark.parametrize("n_cores", [2, 16])
+    def test_dense_graphs_outside_the_calibration_plan_serial(self, n_cores):
+        # densities above every calibration graph once extrapolated to
+        # 5e9 s (K10,10) and 8e3 s (20x20 at p=0.5), planning the pool
+        # for work that takes 0.2 ms and 11 ms
+        dense = (
+            BipartiteGraph([(u, v) for u in range(10) for v in range(10)]),
+            random_bipartite(20, 20, 0.5, seed=7),
+        )
+        for graph in dense:
+            plan = build_plan(graph, n_cores=n_cores)
+            assert plan.chosen.engine == "mbet"
+            assert plan.chosen.predicted_seconds < 0.1
+            assert plan.budget_seconds == BUDGET_FLOOR_SECONDS
+            assert "parallel" not in plan.engine_chain()
 
     def test_tiny_graph_gets_the_budget_floor(self, g0):
         # 20x G0's extrapolated prediction would clamp to the 600s
@@ -349,10 +374,7 @@ class TestCrossoverAcceptance:
             best = min(c["elapsed"] for c in complete)
             measured = {c["engine"]: c for c in row}
             feats = PlanFeatures.from_dict(row[0]["features"])
-            plan = build_plan(
-                features=feats, n_cores=1,
-                engines=tuple(measured),
-            )
+            plan = build_plan(features=feats, n_cores=1)
             cell = measured[plan.chosen.engine]
             assert cell["complete"], (
                 f"{dataset}: planner chose {plan.chosen.engine}, which "

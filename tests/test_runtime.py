@@ -100,7 +100,7 @@ class TestDeadlineBinding:
     """The acceptance bound: a deadline fires within 2x its value even on
     a graph that never reports a biclique."""
 
-    @pytest.mark.parametrize("algo", ["mbet", "mbet_iter", "mbetm"])
+    @pytest.mark.parametrize("algo", ["mbet", "mbetm"])
     def test_barren_graph_terminates_within_2x(self, algo):
         g = barren_graph()
         t = 0.3

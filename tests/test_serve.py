@@ -45,7 +45,7 @@ from repro.serve import (
     load_journal,
     make_http_server,
 )
-from repro.serve.jobs import Job
+from repro.serve.jobs import RETIRED_ENGINES, Job
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -856,6 +856,49 @@ class TestEnumerationService:
         finally:
             service.drain(timeout=1)
 
+    @pytest.mark.parametrize("engine", sorted(RETIRED_ENGINES))
+    def test_retired_engine_name_runs_the_planned_chain(
+        self, tmp_path, engine
+    ):
+        # an older client may still name an engine that left the registry
+        service = _make_service(tmp_path)
+        try:
+            job, _ = service.submit({"engine": engine, "edges": EDGES})
+            assert _wait_terminal(service, job.job_id) == "done"
+            payload = service.result(job.job_id)
+            assert payload["engine_requested"] == engine
+            assert payload["summary"]["engine"] == "mbet"
+            got = {
+                (tuple(left), tuple(right))
+                for left, right in payload["bicliques"]
+            }
+            assert got == _expected_set()
+        finally:
+            service.drain(timeout=2)
+
+    @pytest.mark.parametrize("engine", sorted(RETIRED_ENGINES))
+    def test_journaled_job_naming_a_retired_engine_resumes(
+        self, tmp_path, engine
+    ):
+        # a journal written while the engine existed: its in-flight job
+        # is re-enqueued on restart and completes on the planned chain
+        state = tmp_path / "state"
+        state.mkdir()
+        journal = JobJournal(state / "journal.jsonl")
+        job = Job(job_id="j-old", spec=JobSpec(engine=engine, edges=EDGES),
+                  submitted_at=time.time())
+        journal.record_event(job, "submitted")
+        journal.record_event(job, "started")
+        journal.close()
+        service = _make_service(tmp_path)
+        try:
+            assert _wait_terminal(service, "j-old") == "done"
+            summary = service.result("j-old")["summary"]
+            assert summary["engine"] == "mbet"
+            assert summary["count"] == len(_expected_set())
+        finally:
+            service.drain(timeout=2)
+
     def test_crash_looping_engine_trips_breaker_and_falls_back(
         self, tmp_path
     ):
@@ -871,7 +914,7 @@ class TestEnumerationService:
                 jobs.append(service.result(job.job_id))
             for payload in jobs:
                 # every job succeeded via the fallback chain, exactly
-                assert payload["summary"]["engine"] == "mbet_vec"
+                assert payload["summary"]["engine"] == "mbet"
                 got = {
                     (tuple(left), tuple(right))
                     for left, right in payload["bicliques"]

@@ -1,9 +1,12 @@
-"""Differential tests for the batched uint64 bitmap kernel layer.
+"""Cross-representation tests of the set-union kernel at word boundaries.
 
-Every kernel is checked against the obvious reference: Python-int mask
-arithmetic (the representation :mod:`repro.core.mbet` computes with) and
-plain ``set`` algebra.  Universes straddle the word boundaries (63/64/65
-bits) and the cache-block boundary (``BLOCK_WORDS`` words) on purpose.
+The merge-path partitioned union (:mod:`repro.setops.intersect_path`), the
+plain sorted merge (:mod:`repro.setops.sorted_ops`) and Python-int masks
+(:class:`~repro.setops.bitmap.Bitmap`, the representation
+:mod:`repro.core.mbet` computes with) must agree on every input.  Universes
+straddle the 64-bit word edges (63/64/65, 128/129) and reach past 4,096
+bits on purpose: an int mask has no words, so agreement there pins that no
+representation drops or duplicates an element at those widths.
 """
 
 import random
@@ -11,35 +14,13 @@ import random
 import numpy as np
 import pytest
 
-from repro.setops import kernels
-from repro.setops.bitmap import SignatureSpace
-from repro.setops.kernels import (
-    BLOCK_WORDS,
-    and_rows,
-    andnot_rows,
-    disjoint_reduce,
-    filter_batch,
-    group_rows,
-    kernel_meta,
-    mask_from_row,
-    or_reduce,
-    or_rows,
-    pack_indices,
-    pack_masks,
-    partitioned_union_rows,
-    popcount_backend,
-    popcount_partitions,
-    popcount_rows,
-    popcount_rows_native,
-    popcount_rows_table,
-    subset_reduce,
-    unpack_indices,
-    unpack_masks,
-    words_for,
-)
+from repro.setops import kernel_meta
+from repro.setops.bitmap import Bitmap, SignatureSpace
+from repro.setops.intersect_path import merge_path_partitions, partitioned_union
+from repro.setops.sorted_ops import union, union_many
 
-# universes that straddle word and cache-block boundaries
-WIDTHS = [1, 7, 63, 64, 65, 128, 129, 64 * BLOCK_WORDS + 17]
+# universes that straddle word boundaries, up to 64 words and a bit
+WIDTHS = [1, 7, 63, 64, 65, 128, 129, 64 * 64 + 17]
 
 
 def random_masks(rng, n_bits, count, density=0.3):
@@ -61,151 +42,8 @@ def adversarial_masks(n_bits):
     return [m & full for m in masks]
 
 
-class TestPacking:
-    @pytest.mark.parametrize("n_bits", WIDTHS)
-    def test_pack_unpack_roundtrip(self, n_bits):
-        rng = random.Random(n_bits)
-        masks = random_masks(rng, n_bits, 20) + adversarial_masks(n_bits)
-        words = words_for(n_bits)
-        matrix = pack_masks(masks, words)
-        assert matrix.shape == (len(masks), words)
-        assert matrix.dtype == np.uint64
-        assert unpack_masks(matrix) == masks
-        for i, mask in enumerate(masks):
-            assert mask_from_row(matrix[i]) == mask
-
-    def test_pack_empty_batch(self):
-        assert pack_masks([], 3).shape == (0, 3)
-        assert unpack_masks(np.zeros((0, 3), dtype=np.uint64)) == []
-
-    @pytest.mark.parametrize("n_bits", WIDTHS)
-    def test_pack_indices_matches_mask_pack(self, n_bits):
-        rng = random.Random(100 + n_bits)
-        masks = random_masks(rng, n_bits, 10) + adversarial_masks(n_bits)
-        rows = [[b for b in range(n_bits) if (m >> b) & 1] for m in masks]
-        via_idx = pack_indices(rows, n_bits)
-        via_mask = pack_masks(masks, words_for(n_bits))
-        assert np.array_equal(via_idx, via_mask)
-        for i, row in enumerate(rows):
-            assert unpack_indices(via_idx[i]).tolist() == row
-
-    def test_pack_indices_rejects_out_of_universe(self):
-        with pytest.raises(ValueError):
-            pack_indices([[0, 70]], 64)
-        with pytest.raises(ValueError):
-            pack_indices([[-1]], 64)
-
-    def test_words_for(self):
-        assert [words_for(n) for n in (0, 1, 63, 64, 65, 128, 129)] == [
-            1, 1, 1, 1, 2, 2, 3,
-        ]
-        with pytest.raises(ValueError):
-            words_for(-1)
-
-
-class TestPopcount:
-    @pytest.mark.parametrize("n_bits", WIDTHS)
-    def test_matches_int_bit_count(self, n_bits):
-        rng = random.Random(200 + n_bits)
-        masks = random_masks(rng, n_bits, 25) + adversarial_masks(n_bits)
-        matrix = pack_masks(masks, words_for(n_bits))
-        expect = [m.bit_count() for m in masks]
-        assert popcount_rows(matrix).tolist() == expect
-        assert popcount_rows_table(matrix).tolist() == expect
-        if hasattr(np, "bitwise_count"):
-            assert popcount_rows_native(matrix).tolist() == expect
-
-    def test_backend_matches_runtime_capability(self):
-        # the bug this pins: the backend must be picked by runtime
-        # hasattr detection, not by what the oldest supported numpy
-        # (pyproject floor) would offer.  Runs on both CI numpy legs.
-        if hasattr(np, "bitwise_count"):
-            assert popcount_backend() == "bitwise_count"
-        else:
-            assert popcount_backend() == "byte-table"
-        assert kernel_meta()["popcount_backend"] == popcount_backend()
-
-    def test_1d_popcount(self):
-        row = np.array([np.uint64(2**64 - 1), np.uint64(0), np.uint64(5)])
-        assert popcount_rows(row).tolist() == [64, 0, 2]
-
-
-class TestAlgebra:
-    @pytest.mark.parametrize("n_bits", WIDTHS)
-    def test_row_ops_match_int_ops(self, n_bits):
-        rng = random.Random(300 + n_bits)
-        words = words_for(n_bits)
-        masks = random_masks(rng, n_bits, 16) + adversarial_masks(n_bits)
-        other = random_masks(rng, n_bits, 1)[0]
-        matrix = pack_masks(masks, words)
-        row = pack_masks([other], words)[0]
-        assert unpack_masks(and_rows(matrix, row)) == [m & other for m in masks]
-        assert unpack_masks(or_rows(matrix, row)) == [m | other for m in masks]
-        assert unpack_masks(andnot_rows(matrix, row)) == [
-            m & ~other for m in masks
-        ]
-
-    @pytest.mark.parametrize("n_bits", WIDTHS)
-    def test_subset_and_disjoint_reduce(self, n_bits):
-        rng = random.Random(400 + n_bits)
-        words = words_for(n_bits)
-        other = random_masks(rng, n_bits, 1, density=0.5)[0]
-        masks = (
-            random_masks(rng, n_bits, 12)
-            + adversarial_masks(n_bits)
-            + [other, other & (other - 1) if other else 0]
-        )
-        matrix = pack_masks(masks, words)
-        row = pack_masks([other], words)[0]
-        assert subset_reduce(matrix, row).tolist() == [
-            m & other == m for m in masks
-        ]
-        assert disjoint_reduce(matrix, row).tolist() == [
-            m & other == 0 for m in masks
-        ]
-
-
-class TestFilterBatch:
-    @pytest.mark.parametrize("n_bits", WIDTHS)
-    def test_classification_matches_int_reference(self, n_bits):
-        rng = random.Random(500 + n_bits)
-        words = words_for(n_bits)
-        branch = random_masks(rng, n_bits, 1, density=0.5)[0]
-        masks = (
-            random_masks(rng, n_bits, 20)
-            + adversarial_masks(n_bits)
-            + [branch]
-        )
-        matrix = pack_masks(masks, words)
-        row = pack_masks([branch], words)[0]
-        for row_pc in (None, branch.bit_count()):
-            inter, pc, full, nonzero = filter_batch(matrix, row, row_pc)
-            assert unpack_masks(inter.reshape(len(masks), words)) == [
-                m & branch for m in masks
-            ]
-            assert pc.tolist() == [(m & branch).bit_count() for m in masks]
-            # inter ⊆ branch always, so full ⟺ inter == branch
-            assert full.tolist() == [m & branch == branch for m in masks]
-            assert nonzero.tolist() == [m & branch != 0 for m in masks]
-
-    def test_empty_batch(self):
-        matrix = np.zeros((0, 2), dtype=np.uint64)
-        row = pack_masks([(1 << 70) | 3], 2)[0]
-        inter, pc, full, nonzero = filter_batch(matrix, row)
-        assert inter.shape[0] == pc.size == full.size == nonzero.size == 0
-
-
-class TestGrouping:
-    @pytest.mark.parametrize("n_bits", [1, 64, 65, 129])
-    def test_group_rows_matches_dict_grouping(self, n_bits):
-        rng = random.Random(600 + n_bits)
-        pool = random_masks(rng, n_bits, 6) + [0]
-        masks = [rng.choice(pool) for _ in range(40)]
-        matrix = pack_masks(masks, words_for(n_bits))
-        unique, inverse = group_rows(matrix)
-        assert sorted(unpack_masks(unique)) == sorted(set(masks))
-        rebuilt = unpack_masks(unique[inverse])
-        assert rebuilt == masks
+def members(mask):
+    return [b for b in range(mask.bit_length()) if (mask >> b) & 1]
 
 
 class TestPartitionedUnion:
@@ -214,89 +52,56 @@ class TestPartitionedUnion:
     def test_matches_set_union(self, n_bits, lanes):
         rng = random.Random(700 + n_bits * 31 + lanes)
         masks = random_masks(rng, n_bits, 9) + adversarial_masks(n_bits)
-        matrix = pack_masks(masks, words_for(n_bits))
-        expect = sorted(
-            {b for m in masks for b in range(n_bits) if (m >> b) & 1}
-        )
-        assert partitioned_union_rows(matrix, lanes).tolist() == expect
+        expect = sorted({b for m in masks for b in range(n_bits) if (m >> b) & 1})
+        acc = []
+        for mask in masks:
+            acc = partitioned_union(acc, members(mask), lanes)
+        assert acc == expect
+        assert union_many(members(m) for m in masks) == expect
+        space = SignatureSpace(range(n_bits))
+        combined = 0
+        for mask in masks:
+            combined |= space.encode(members(mask))
+        assert space.decode(combined) == expect
 
     def test_lanes_exceed_words_yield_empty_lanes(self):
-        # lanes > words forces duplicate split points; lanes owning an
-        # empty word range must contribute nothing, not duplicates —
-        # the same contract merge_path_partitions has for lanes > n+m.
-        row = pack_masks([0b1011], 1)[0:1]
-        out = partitioned_union_rows(pack_masks([0b1011], 1), lanes=16)
-        assert out.tolist() == [0, 1, 3]
-        points = popcount_partitions(row[0], 16)
+        # lanes > n + m forces duplicate split points; lanes owning an
+        # empty diagonal range must contribute nothing, not duplicates.
+        a, b = [0, 1], [1, 3]
+        assert partitioned_union(a, b, lanes=16) == [0, 1, 3]
+        points = merge_path_partitions(a, b, 16)
         assert len(points) == 17
-        assert points[0] == 0 and points[-1] == 1
-        assert all(a <= b for a, b in zip(points, points[1:]))
+        assert points[0] == (0, 0) and points[-1] == (2, 2)
+        diagonals = [x + y for x, y in points]
+        assert all(p <= q for p, q in zip(diagonals, diagonals[1:]))
+        assert len(set(points)) < len(points)
 
     def test_empty_batch_and_empty_union(self):
-        empty = np.zeros((0, 2), dtype=np.uint64)
-        assert partitioned_union_rows(empty).tolist() == []
-        zeros = np.zeros((3, 2), dtype=np.uint64)
-        assert partitioned_union_rows(zeros).tolist() == []
-        assert or_reduce(zeros).tolist() == [0, 0]
+        for lanes in (1, 4, 13):
+            assert partitioned_union([], [], lanes) == []
+        assert union_many([]) == []
+        assert union_many([[], [], []]) == []
+        assert (Bitmap() | Bitmap()).to_list() == []
 
     def test_lane_invalid(self):
         with pytest.raises(ValueError):
-            popcount_partitions(np.zeros(1, dtype=np.uint64), 0)
+            merge_path_partitions([1], [2], 0)
+        with pytest.raises(ValueError):
+            partitioned_union([1], [2], lanes=0)
 
     @pytest.mark.parametrize("n_bits", [64, 65, 640])
     def test_agrees_with_merge_path_partitioned_union(self, n_bits):
-        from repro.setops.intersect_path import partitioned_union
-
         rng = random.Random(800 + n_bits)
         a_mask, b_mask = random_masks(rng, n_bits, 2, density=0.2)
-        a = [b for b in range(n_bits) if (a_mask >> b) & 1]
-        b = [x for x in range(n_bits) if (b_mask >> x) & 1]
-        matrix = pack_masks([a_mask, b_mask], words_for(n_bits))
-        assert partitioned_union_rows(matrix, 4).tolist() == partitioned_union(
-            a, b, lanes=4
-        )
-
-
-class TestSignatureSpaceRows:
-    @pytest.mark.parametrize("n_bits", [1, 63, 64, 65, 129])
-    def test_encode_rows_matches_encode(self, n_bits):
-        rng = random.Random(900 + n_bits)
-        universe = sorted(rng.sample(range(n_bits * 7), n_bits))
-        space = SignatureSpace(universe)
-        assert space.words == words_for(n_bits)
-        rows = []
-        for _ in range(12):
-            members = [v for v in universe if rng.random() < 0.4]
-            noise = [v + 1 for v in members if v + 1 not in space]
-            rng.shuffle(members)
-            rows.append(members + noise)  # noise must be dropped
-        rows.append([])
-        for kmw in (1, 2, 10**6):  # both encode paths, same answer
-            matrix = space.encode_rows(rows, kernel_min_words=kmw)
-            assert unpack_masks(matrix) == [space.encode(r) for r in rows]
-        for i, row in enumerate(rows):
-            assert space.decode_row(matrix[i]) == sorted(
-                set(row) & set(universe)
-            )
-
-    def test_pack_roundtrips_masks(self):
-        space = SignatureSpace(range(70))
-        masks = [0, 1, (1 << 70) - 1, 1 << 69]
-        assert unpack_masks(space.pack(masks)) == masks
-
-    def test_encode_rows_empty(self):
-        space = SignatureSpace(range(100))
-        assert space.encode_rows([]).shape == (0, 2)
-        assert unpack_masks(space.encode_rows([[], []])) == [0, 0]
+        a, b = members(a_mask), members(b_mask)
+        merged = partitioned_union(a, b, lanes=4)
+        assert merged == union(a, b)
+        assert merged == (Bitmap(a) | Bitmap(b)).to_list()
+        assert merged == members(a_mask | b_mask)
 
 
 class TestMeta:
     def test_kernel_meta_fields(self):
-        meta = kernel_meta()
-        assert meta["numpy"] == np.__version__
-        assert meta["popcount_backend"] in {"bitwise_count", "byte-table"}
-        assert meta["numba"] in {
-            "available", "unavailable", "disabled", "compile-failed",
-        }
-        assert meta["word_bits"] == 64
-        assert meta["block_words"] == kernels.BLOCK_WORDS
+        # every set operation is pure Python; numpy is the one library
+        # version a benchmark snapshot records
+        assert kernel_meta() == {"numpy": np.__version__}

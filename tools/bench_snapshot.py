@@ -14,10 +14,9 @@ single JSON document::
 Snapshots are meant to be committed occasionally so performance drift is
 visible in history; the metrics block makes regressions attributable
 (e.g. "same count, 3x more intersections") rather than just observable.
-The document and every per-run record also carry
-:func:`repro.setops.kernel_meta` — the popcount backend and numba state
-behind the packed-kernel engines — so a timing shift caused by a numpy
-upgrade swapping the backend is visible in the snapshot diff.
+The document also carries :func:`repro.setops.kernel_meta` (the numpy
+version), so a timing shift across a library upgrade is visible in the
+snapshot diff.
 """
 
 from __future__ import annotations
@@ -39,18 +38,16 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro import datasets, run_mbe  # noqa: E402
 from repro.bench.runner import run_timed  # noqa: E402
 from repro.obs import Instrumentation  # noqa: E402
+from repro.plan import PLANNER_ENGINES  # noqa: E402
 from repro.setops import kernel_meta  # noqa: E402
 
 DEFAULT_DATASETS = ("mti", "wa", "tm")
-DEFAULT_ALGORITHMS = ("mbet", "mbet_iter", "imbea")
+DEFAULT_ALGORITHMS = ("mbet", "imbea")
 DEFAULT_CLUSTER_DATASET = "so"
 #: serial planner candidates — the crossover matrix is the planner's
 #: calibration ground truth, so it measures exactly the engines the
 #: planner ranks (``parallel`` is predicted relative to these)
-DEFAULT_CROSSOVER_ENGINES = (
-    "mbet_vec", "mbet", "mbet_iter", "mbetm", "imbea", "mbea", "pmbe",
-    "oombea",
-)
+DEFAULT_CROSSOVER_ENGINES = tuple(e for e in PLANNER_ENGINES if e != "parallel")
 CROSSOVER_ORDER = "degree"
 
 
@@ -286,11 +283,7 @@ def snapshot(
                 graph, algorithm, dataset=name,
                 time_limit=time_limit, instrumentation=instr,
             )
-            row = record.as_dict()
-            # each row stands alone when diffed across snapshot files, so
-            # it carries the kernel backend that produced its timing
-            row["kernels"] = kernel_meta()
-            records.append(row)
+            records.append(record.as_dict())
             print(
                 f"  {algorithm:>10s} on {name}: {record.count:,} bicliques "
                 f"in {record.elapsed:.3f}s ({record.status})",
