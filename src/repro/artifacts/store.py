@@ -22,12 +22,17 @@ Durability contract (the failure matrix in ``docs/artifacts.md``):
   checksum, or misdescribes its own address is **quarantined** (moved
   aside, never deleted silently) and reported as a miss, so the caller
   transparently rebuilds it from source.
-* **Size is bounded.**  With ``max_bytes`` set, the store evicts
-  least-recently-used entries (access updates mtime) after each write
-  until it fits.  Entries **pinned** by an in-flight computation are
-  never evicted.
+* **Size is bounded.**  With ``max_bytes`` set, the store keeps a byte
+  ledger of ``objects/``, so a write costs the same at any store size.
+  Only when the ledger exceeds the budget does the store walk the
+  directory and evict least-recently-used entries (access updates
+  mtime) until it fits.  Entries **pinned** by an in-flight computation
+  are never evicted.
 * **Cross-process writers serialise** on a ``flock``-based file lock;
-  readers need no lock because replaces are atomic.
+  readers need no lock because replaces are atomic.  Every change to
+  ``objects/`` advances a generation number kept beside the lock file;
+  a store that finds a generation it did not write, or an unreadable
+  one, rebuilds its ledger from a walk.
 
 Payload semantics make the in-memory memo safe: every entry is a pure
 function of its address (content hash + parameters), so a memoised
@@ -78,6 +83,17 @@ def _canonical(payload: Any) -> bytes:
 
 def _checksum(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
+
+
+def _entry_bytes(header: dict[str, Any], blob: bytes) -> bytes:
+    """One entry document: ``header`` plus the canonical payload ``blob``.
+
+    ``payload`` sorts after every header key, so splicing the blob in as
+    the last member keeps the key order a sorted dump would give, and
+    the payload is encoded once, not once more for the document.
+    """
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    return head[:-1] + b', "payload": ' + blob + b"}"
 
 
 class FileLock:
@@ -151,6 +167,11 @@ class ArtifactStore:
         self.max_bytes = max_bytes
         self.registry = registry if registry is not None else MetricRegistry()
         self.lock = FileLock(os.path.join(self.root, "lock"))
+        self._generation_path = os.path.join(self.root, "generation")
+        # bytes under objects/ and the generation this store last wrote;
+        # None means "unknown, walk before trusting" (both under the lock)
+        self._ledger: int | None = None
+        self._generation: int | None = None
         self._mutex = threading.RLock()
         self._pins: dict[str, int] = {}
         self._memo: OrderedDict[str, Any] = OrderedDict()
@@ -337,11 +358,52 @@ class ArtifactStore:
             f"{int(time.time() * 1000)}__{why}__{os.path.basename(path)}",
         )
         with self.lock:
+            self._invalidate_ledger()
             try:
                 os.replace(path, dest)
             except OSError:  # pragma: no cover - raced by another process
                 return
         self._count("corrupt")
+
+    # -- byte ledger -------------------------------------------------------
+
+    def _advance_generation(self) -> None:
+        """Bump the shared generation before a change to ``objects/``.
+
+        Caller holds the file lock.  The ledger is dropped unless the
+        generation on disk is the one this store last wrote, i.e. no
+        other store has changed ``objects/`` since.  A missing, torn or
+        non-numeric file reads as "changed"; so does a writer killed
+        after this bump, because the bump lands before the change does.
+        Nothing here is fsynced: a lost bump costs a walk, never a wrong
+        total.
+        """
+        try:
+            with open(self._generation_path, "rb") as handle:
+                text = handle.read()
+        except OSError:
+            text = b""
+        seen = None
+        if text[-1:] == b"\n" and text[:-1].isdigit():
+            seen = int(text)
+        if seen is None or seen != self._generation:
+            self._ledger = None
+        # a fresh count starts at a random number, so no store still
+        # holding a number from before the reset can mistake it for its own
+        new = seen + 1 if seen is not None else int.from_bytes(
+            os.urandom(6), "big"
+        )
+        try:
+            with open(self._generation_path, "wb") as handle:
+                handle.write(b"%d\n" % new)
+            self._generation = new
+        except OSError:
+            self._generation = None
+
+    def _invalidate_ledger(self) -> None:
+        """Forget the ledger here and in every other store (lock held)."""
+        self._advance_generation()
+        self._ledger = None
 
     # -- write path --------------------------------------------------------
 
@@ -350,7 +412,9 @@ class ArtifactStore:
         """Atomically write one entry; returns its path.
 
         Temp-file + fsync + ``os.replace`` under the cross-process file
-        lock; a budget check runs after the write.
+        lock.  With a budget, the byte ledger takes the new entry's size
+        less the one it replaced, and only a ledger over budget walks
+        the store to evict.
 
         A write that fails with ``OSError`` (disk full, I/O error)
         **degrades instead of raising**: the half-written temp file is
@@ -360,18 +424,21 @@ class ArtifactStore:
         """
         path = self.entry_path(graph_key, kind, fingerprint)
         blob = _canonical(payload)
-        doc = {
+        data = _entry_bytes({
             "format": FORMAT,
             "graph_key": graph_key,
             "kind": kind,
             "fingerprint": fingerprint,
             "created": round(time.time(), 3),
             "checksum": _checksum(blob),
-            "payload": payload,
-        }
-        data = json.dumps(doc, sort_keys=True).encode("utf-8")
+        }, blob)
         tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
         with self.lock:
+            self._advance_generation()
+            try:
+                replaced = os.stat(path).st_size
+            except OSError:
+                replaced = 0
             try:
                 os.makedirs(os.path.dirname(path), exist_ok=True)
                 with chaos_fs.open(tmp, "wb") as handle:
@@ -380,6 +447,7 @@ class ArtifactStore:
                     chaos_fs.fsync(handle.fileno(), tmp)
                 chaos_fs.replace(tmp, path)
             except OSError as exc:
+                self._ledger = None
                 self._count("write_errors", kind)
                 print(
                     f"artifacts: cache write failed for "
@@ -396,7 +464,10 @@ class ArtifactStore:
                 self._memo_drop(path)
             self._count("writes", kind)
             if self.max_bytes is not None:
-                self._enforce_budget(self.max_bytes)
+                if self._ledger is not None:
+                    self._ledger += len(data) - replaced
+                if self._ledger is None or self._ledger > self.max_bytes:
+                    self._enforce_budget(self.max_bytes)
         return path
 
     def get_or_build(
@@ -424,6 +495,7 @@ class ArtifactStore:
                fingerprint: str = "-") -> bool:
         path = self.entry_path(graph_key, kind, fingerprint)
         with self.lock:
+            self._invalidate_ledger()
             self._memo_drop(path)
             try:
                 os.remove(path)
@@ -472,6 +544,7 @@ class ArtifactStore:
         quarantined: list[str] = []
         tmp_removed = 0
         with self.lock:
+            self._invalidate_ledger()  # stale temp files leave the total
             for dirpath, _dirs, files in os.walk(self.objects_dir):
                 for name in files:
                     path = os.path.join(dirpath, name)
@@ -506,7 +579,9 @@ class ArtifactStore:
     def _enforce_budget(self, max_bytes: int) -> int:
         """Evict LRU unpinned entries until the store fits; returns count.
 
-        Caller holds the file lock.
+        Walks ``objects/`` and sets the byte ledger from what the walk
+        finds.  Caller holds the file lock and has advanced the
+        generation.
         """
         listing: list[tuple[float, int, str]] = []
         total = 0
@@ -519,6 +594,7 @@ class ArtifactStore:
                     continue
                 total += st.st_size
                 listing.append((st.st_mtime, st.st_size, path))
+        self._ledger = total
         if total <= max_bytes:
             return 0
         listing.sort()
@@ -535,6 +611,7 @@ class ArtifactStore:
             self._memo_drop(path)
             total -= size
             evicted += 1
+        self._ledger = total
         if evicted:
             self._count("evictions", amount=evicted)
         return evicted
@@ -543,6 +620,7 @@ class ArtifactStore:
         """Sweep stale temp files and enforce the size budget now."""
         budget = max_bytes if max_bytes is not None else self.max_bytes
         with self.lock:
+            self._invalidate_ledger()
             tmp_removed = self._sweep_tmp()
             evicted = (
                 self._enforce_budget(budget) if budget is not None else 0
@@ -553,6 +631,7 @@ class ArtifactStore:
         """Remove every entry (quarantine included); returns entries removed."""
         removed = 0
         with self.lock:
+            self._invalidate_ledger()
             self._memo_drop()
             for base in (self.objects_dir, self.quarantine_dir):
                 for dirpath, _dirs, files in os.walk(base, topdown=False):

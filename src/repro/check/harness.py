@@ -216,12 +216,22 @@ def run_fuzz(
         case_seed = config.seed * 1_000_003 + case_index
         failure: OracleFailure | None = None
         failed_oracle: Oracle | None = None
+        cut = False
         for name, oracle in battery:
+            # one oracle can run every engine on a zoo graph, so the clock
+            # is read between oracles too; a cut case is neither counted
+            # nor reported ok
+            if out_of_time():
+                cut = True
+                break
             report.oracle_runs[name] += 1
             failure = oracle(graph)
             if failure is not None:
                 failed_oracle = oracle
                 break
+        if cut:
+            report.stopped = "time_budget"
+            break
         record: dict[str, Any] = {
             "type": "case",
             "index": case_index,

@@ -264,6 +264,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             max_nodes=args.max_nodes,
             cancel=cancel_event.is_set,
         )
+    # the cancel handlers stay installed until the output and obs files
+    # are written: a signal in that window lets the writes finish, then
+    # the run exits EXIT_INTERRUPTED
     try:
         result = run_mbe(
             graph,
@@ -273,8 +276,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
             instrumentation=instr,
             **options,
         )
+        return _finish_run(args, result, store, gk, name, instr,
+                           cancel_event)
     finally:
         _restore_handlers(previous_handlers)
+
+
+def _finish_run(args: argparse.Namespace, result, store, gk, name: str,
+                instr, cancel_event) -> int:
+    """Cache, report and write one finished ``repro run`` result."""
     if store is not None and result.complete:
         from repro import artifacts
 
@@ -324,8 +334,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"wrote {written:,} {qualifier}bicliques to {args.output}")
     if instr is not None:
         _write_obs_outputs(instr, args)
-    if cancelled:
-        if args.checkpoint is not None:
+    if cancelled or cancel_event.is_set():
+        if cancelled and args.checkpoint is not None:
             print(f"checkpoint flushed to {args.checkpoint}; rerun with the "
                   f"same --checkpoint to resume", file=sys.stderr)
         return EXIT_INTERRUPTED

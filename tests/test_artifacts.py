@@ -20,9 +20,12 @@ import sys
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import artifacts
 from repro.artifacts import ArtifactStore, kinds
+from repro.artifacts import store as store_module
 from repro.bigraph.graph import BipartiteGraph
 from repro.bigraph.io import write_edge_list
 from repro.cli import main
@@ -334,6 +337,173 @@ class TestEviction:
         store.gc(max_bytes=1_500)
         assert store.get(gk, "stats", "0") is None  # the LRU went first
         assert store.get(gk, "stats", "9") is not None
+
+
+# --------------------------------------------------------------------------
+# byte ledger: budgeted writes cost the same at any store size
+
+
+def _disk_total(store: ArtifactStore) -> int:
+    return sum(
+        os.path.getsize(os.path.join(dirpath, name))
+        for dirpath, _dirs, files in os.walk(store.objects_dir)
+        for name in files
+    )
+
+
+class _CallCounter:
+    """Counts calls to ``os.walk`` / ``os.stat`` while patched in."""
+
+    def __init__(self, monkeypatch):
+        self.walks = 0
+        self.stats = 0
+        real_walk, real_stat = os.walk, os.stat
+
+        def walk(*args, **kwargs):
+            self.walks += 1
+            return real_walk(*args, **kwargs)
+
+        def stat(*args, **kwargs):
+            self.stats += 1
+            return real_stat(*args, **kwargs)
+
+        monkeypatch.setattr(store_module.os, "walk", walk)
+        monkeypatch.setattr(store_module.os, "stat", stat)
+
+
+class TestByteLedger:
+    def test_budgeted_put_cost_is_flat_in_the_entry_count(
+        self, tmp_path, monkeypatch
+    ):
+        payload = {"bicliques": [[[1, 2, 3], [4, 5]]] * 20}
+        counts = {}
+        for entries in (10, 1_000):
+            store = ArtifactStore(tmp_path / f"s{entries}")
+            for i in range(entries):
+                store.put(f"{i:064x}", "result", payload)
+            with monkeypatch.context() as patch:
+                calls = _CallCounter(patch)
+                store.put("f" * 64, "result", payload)
+            counts[entries] = (calls.walks, calls.stats)
+        assert counts[10][0] == counts[1_000][0] == 0
+        assert counts[10][1] == counts[1_000][1]
+
+    def test_first_budgeted_put_after_open_walks_once(
+        self, tmp_path, monkeypatch
+    ):
+        ArtifactStore(tmp_path / "store").put("a" * 64, "stats", {"v": 1})
+        store = ArtifactStore(tmp_path / "store")
+        calls = _CallCounter(monkeypatch)
+        store.put("b" * 64, "stats", {"v": 2})
+        store.put("c" * 64, "stats", {"v": 3})
+        assert calls.walks == 1
+        assert store._ledger == _disk_total(store)
+
+    def test_unbudgeted_store_never_walks(self, tmp_path, monkeypatch):
+        store = ArtifactStore(tmp_path / "store", max_bytes=None)
+        calls = _CallCounter(monkeypatch)
+        for i in range(5):
+            store.put(f"{i:064x}", "stats", {"v": i})
+        assert calls.walks == 0
+
+    @pytest.mark.parametrize(
+        "content", [b"", b"12", b"garbage\n", b"\x00\xff\n", b"-3\n"],
+        ids=["empty", "torn", "text", "binary", "negative"],
+    )
+    def test_unreadable_generation_means_rewalk(
+        self, tmp_path, monkeypatch, content
+    ):
+        store = _store(tmp_path)
+        store.put("a" * 64, "stats", {"v": 1})
+        with open(os.path.join(store.root, "generation"), "wb") as handle:
+            handle.write(content)
+        calls = _CallCounter(monkeypatch)
+        store.put("b" * 64, "stats", {"v": 2})
+        assert calls.walks == 1
+        assert store._ledger == _disk_total(store)
+
+    def test_write_by_another_store_is_seen(self, tmp_path):
+        gk = "k" * 64
+        a = ArtifactStore(tmp_path / "store", max_bytes=1_500)
+        b = ArtifactStore(tmp_path / "store", max_bytes=None)
+        a.put(gk, "stats", {"pad": "a" * 200}, "a0")
+        for i in range(10):  # unbudgeted, far over a's budget
+            b.put(gk, "stats", {"pad": "b" * 200}, f"b{i}")
+        a.put(gk, "stats", {"pad": "a" * 200}, "a1")
+        assert _disk_total(a) <= 1_500
+        assert a._ledger == _disk_total(a)
+
+    def test_old_entry_layout_still_reads_and_new_entries_verify(
+        self, tmp_path
+    ):
+        from repro.artifacts.store import FORMAT, _canonical, _checksum
+
+        store = _store(tmp_path)
+        gk = "l" * 64
+        payload = {"count": 2, "bicliques": [[[0], [1]], [[1], [0, 2]]]}
+        doc = {  # as entries were written before the payload was spliced
+            "format": FORMAT, "graph_key": gk, "kind": "result",
+            "fingerprint": "old", "created": 1.0,
+            "checksum": _checksum(_canonical(payload)), "payload": payload,
+        }
+        path = store.entry_path(gk, "result", "old")
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w") as handle:
+            handle.write(json.dumps(doc, sort_keys=True))
+        store.put(gk, "result", payload, "new")
+        assert store.get(gk, "result", "old") == payload
+        assert ArtifactStore(store.root).get(gk, "result", "new") == payload
+        with open(store.entry_path(gk, "result", "new"), "rb") as handle:
+            assert json.loads(handle.read())["payload"] == payload
+        report = store.verify()
+        assert report["ok"] == 2 and report["quarantined"] == []
+
+
+_KEYS = ["0" * 64, "1" * 64, "2" * 64]
+_ledger_ops = st.one_of(
+    st.tuples(st.just("put"), st.integers(0, 1), st.integers(0, 5),
+              st.integers(0, 900)),
+    st.tuples(st.sampled_from(["get", "delete", "corrupt"]),
+              st.integers(0, 1), st.integers(0, 5)),
+    st.tuples(st.just("gc"), st.integers(0, 1)),
+)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ops=st.lists(_ledger_ops, max_size=25))
+def test_two_stores_over_one_root_keep_budget_and_ledger(ops):
+    """Two stores stand in for two processes sharing one root: every
+    budgeted put leaves the disk within budget and the putting store's
+    ledger equal to a fresh walk."""
+    import tempfile
+
+    budget = 3_000
+    with tempfile.TemporaryDirectory() as root:
+        stores = [ArtifactStore(root, max_bytes=budget) for _ in range(2)]
+        for op in ops:
+            store = stores[op[1]]
+            if op[0] == "gc":
+                store.gc()
+                continue
+            gk, fp = _KEYS[op[2] % 3], str(op[2])
+            if op[0] == "put":
+                store.put(gk, "stats", {"pad": "x" * op[3]}, fp)
+                assert _disk_total(store) <= budget
+                assert store._ledger == _disk_total(store)
+            elif op[0] == "get":
+                store.get(gk, "stats", fp)
+            elif op[0] == "delete":
+                store.delete(gk, "stats", fp)
+            else:  # same-size garbage, then a read that quarantines it
+                path = store.entry_path(gk, "stats", fp)
+                if os.path.exists(path):
+                    size = os.path.getsize(path)
+                    with open(path, "wb") as handle:
+                        handle.write(b"#" * size)
+                    for s in stores:
+                        s._memo_drop(path)
+                store.get(gk, "stats", fp)
 
 
 # --------------------------------------------------------------------------

@@ -241,6 +241,39 @@ class TestHarness:
         assert report.cases == 0
         assert report.stopped == "time_budget"
 
+    def test_time_budget_binds_between_oracles(self, monkeypatch):
+        """Each fake oracle advances a fake clock by 0.04 s; with a 0.1 s
+        budget the run stops within one oracle of it, mid-battery, and
+        the cut case is neither counted nor recorded."""
+        from repro.check import harness
+
+        clock = [0.0]
+
+        class FakeTime:
+            @staticmethod
+            def perf_counter():
+                return clock[0]
+
+        def slow_oracle(_graph):
+            clock[0] += 0.04
+            return None
+
+        monkeypatch.setattr(harness, "time", FakeTime)
+        monkeypatch.setattr(
+            harness, "_case_oracles",
+            lambda *_args: [(f"slow{i}", slow_oracle) for i in range(10)],
+        )
+        records: list[dict] = []
+        report = run_fuzz(
+            FuzzConfig(seed=1, time_budget=0.1, max_cases=5),
+            on_case=records.append,
+        )
+        assert report.stopped == "time_budget"
+        assert sum(report.oracle_runs.values()) == 3
+        assert report.elapsed <= 0.1 + 0.04 + 1e-9
+        assert report.cases == 0
+        assert [r["type"] for r in records] == ["summary"]
+
 
 class TestKillResumeParity:
     """Satellite: interrupt a checkpointed parallel run, resume, expect

@@ -139,6 +139,49 @@ class TestRunSignals:
         # partial results were still written
         assert (tmp_path / "out.tsv").exists()
 
+    @pytest.mark.parametrize("signals", [1, 2])
+    def test_signal_during_output_write(
+        self, g0_file, tmp_path, monkeypatch, capsys, signals
+    ):
+        """A signal sent from inside the output write: one lets the file
+        complete and exits 130; a second raises KeyboardInterrupt."""
+        import os
+        import signal as signal_mod
+
+        from repro.core import io_results
+
+        real_write = io_results.write_bicliques
+
+        def write_under_signal(bicliques, path):
+            for _ in range(signals):
+                os.kill(os.getpid(), signal_mod.SIGTERM)
+            return real_write(bicliques, path)
+
+        # stands in for the default handler, which would kill the runner
+        outer = []
+
+        def guard(signum, _frame):
+            outer.append(signum)
+
+        previous = signal_mod.signal(signal_mod.SIGTERM, guard)
+        try:
+            monkeypatch.setattr(
+                io_results, "write_bicliques", write_under_signal
+            )
+            out = tmp_path / "out.tsv"
+            argv = ["run", "--input", g0_file, "-a", "mbet", "-o", str(out)]
+            if signals == 1:
+                assert main(argv) == 130
+                assert len(out.read_text().splitlines()) == 6
+                assert "interrupted" in capsys.readouterr().err
+            else:
+                with pytest.raises(KeyboardInterrupt):
+                    main(argv)
+            assert outer == []
+            assert signal_mod.getsignal(signal_mod.SIGTERM) is guard
+        finally:
+            signal_mod.signal(signal_mod.SIGTERM, previous)
+
 
 class TestRunObservability:
     def test_run_stderr_summary_without_output(self, g0_file, capsys):
