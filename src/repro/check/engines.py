@@ -31,7 +31,8 @@ CONSTRAINED_ENGINES: frozenset[str] = frozenset(
 #: Option variants sampled per case, exercising ablation flags and the
 #: trie / trie-overflow / slicing paths that plain defaults never reach
 #: (fuzz graphs sit far below the adaptive store's trie threshold, so the
-#: trie runs only where ``use_trie=True`` pins it).
+#: trie runs only where ``use_trie=True`` pins it; the parallel engine
+#: splits roots only with more than one worker).
 ENGINE_VARIANTS: dict[str, tuple[dict[str, Any], ...]] = {
     "mbet": (
         {}, {"use_trie": True}, {"use_trie": False}, {"use_merge": False},
@@ -40,13 +41,13 @@ ENGINE_VARIANTS: dict[str, tuple[dict[str, Any], ...]] = {
     ),
     "mbetm": ({}, {"use_trie": True}, {"use_trie": True, "max_nodes": 8}),
     "parallel": (
-        {"workers": 1, "bound_height": 1, "bound_size": 1},
+        {"workers": 2, "bound_height": 1, "bound_size": 1},
         # engine_options as a pair-tuple keeps the spec hashable
         {
-            "workers": 1, "bound_height": 1, "bound_size": 1,
+            "workers": 2, "bound_height": 1, "bound_size": 1,
             "engine_options": (("use_trie", True),),
         },
-        {"workers": 1, "bound_height": 1, "bound_size": 8},
+        {"workers": 2, "bound_height": 1, "bound_size": 8},
         {"workers": 1},
     ),
     "oombea": ({}, {"order": "random"}),

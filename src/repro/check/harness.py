@@ -28,6 +28,7 @@ from repro.check.engines import (
 )
 from repro.check.oracles import (
     Oracle,
+    OracleCut,
     OracleFailure,
     agreement_oracle,
     budget_prefix_oracle,
@@ -121,12 +122,15 @@ def _case_oracles(
     engines: list[EngineSpec],
     case_index: int,
     dataset: bool,
+    out_of_time: Callable[[], bool] | None = None,
 ) -> list[tuple[str, Oracle]]:
     """Schedule the oracle battery for one case."""
     battery: list[tuple[str, Oracle]] = []
     wanted = set(config.oracles)
     if "agreement" in wanted:
-        battery.append(("agreement", agreement_oracle(engines)))
+        battery.append((
+            "agreement", agreement_oracle(engines, out_of_time=out_of_time)
+        ))
     if "setops" in wanted:
         # cheap (no enumeration), so it runs on every case — random and
         # dataset alike; seeded per case for reproducible rows
@@ -189,11 +193,17 @@ def run_fuzz(
     report = FuzzReport()
     start = time.perf_counter()
 
+    shrinking = False
+
     def out_of_time() -> bool:
         return (
             config.time_budget is not None
             and time.perf_counter() - start > config.time_budget
         )
+
+    def oracle_out_of_time() -> bool:
+        # shrinking a found counterexample runs to its end, as ever
+        return not shrinking and out_of_time()
 
     queue: list[tuple[GraphCase, bool]] = [
         (case, True) for case in dataset_cases(config.datasets)
@@ -212,20 +222,26 @@ def run_fuzz(
             case, is_dataset = sample_case(rng, config.max_side), False
         graph = case.build()
         engines = _engine_pool(config, rng)
-        battery = _case_oracles(config, rng, engines, case_index, is_dataset)
+        battery = _case_oracles(
+            config, rng, engines, case_index, is_dataset, oracle_out_of_time
+        )
         case_seed = config.seed * 1_000_003 + case_index
         failure: OracleFailure | None = None
         failed_oracle: Oracle | None = None
         cut = False
         for name, oracle in battery:
             # one oracle can run every engine on a zoo graph, so the clock
-            # is read between oracles too; a cut case is neither counted
-            # nor reported ok
+            # is read between oracles, and agreement reads it between
+            # engines too; a cut case is neither counted nor reported ok
             if out_of_time():
                 cut = True
                 break
             report.oracle_runs[name] += 1
-            failure = oracle(graph)
+            try:
+                failure = oracle(graph)
+            except OracleCut:
+                cut = True
+                break
             if failure is not None:
                 failed_oracle = oracle
                 break
@@ -242,6 +258,7 @@ def run_fuzz(
         }
         if failure is not None:
             shrunk_graph = graph
+            shrinking = True
             if config.shrink and failed_oracle is not None:
                 shrunk_graph = shrink_graph(
                     graph,
@@ -250,6 +267,7 @@ def run_fuzz(
                 )
                 # re-describe the failure on the minimized graph
                 failure = failed_oracle(shrunk_graph) or failure
+            shrinking = False
             cx = Counterexample(
                 oracle=failure.oracle,
                 engine=failure.engine,

@@ -77,14 +77,26 @@ def _diff(got: frozenset, want: frozenset) -> str:
     )
 
 
+class OracleCut(Exception):
+    """An oracle stopped early because its caller ran out of time."""
+
+
 def agreement_oracle(
     engines: Sequence[EngineSpec],
     reference: EngineSpec | None = None,
     verify: bool = True,
+    out_of_time: Callable[[], bool] | None = None,
 ) -> Oracle:
-    """Cross-engine set equality plus definitional verification."""
+    """Cross-engine set equality plus definitional verification.
+
+    On a zoo graph one engine run can take seconds, so ``out_of_time``
+    is read before the reference and between engines; when it reads
+    true the check raises :class:`OracleCut` instead of judging.
+    """
 
     def check(graph: BipartiteGraph) -> OracleFailure | None:
+        if out_of_time is not None and out_of_time():
+            raise OracleCut("agreement")
         if reference is not None:
             ref_spec = reference
         elif min(graph.n_u, graph.n_v) <= BRUTEFORCE_MAX_SIDE:
@@ -98,6 +110,8 @@ def agreement_oracle(
             except VerificationError as exc:
                 return OracleFailure("agreement", ref_spec.label(), str(exc))
         for spec in engines:
+            if out_of_time is not None and out_of_time():
+                raise OracleCut("agreement")
             result = spec.run(graph, collect=True)
             got = result.biclique_set()
             if verify and len(got) <= VERIFY_MAX_RESULTS:
@@ -384,7 +398,7 @@ def setops_oracle(seed: int = 0, max_rows: int = 24) -> Oracle:
 
 
 def kill_resume_oracle(
-    workers: int = 1,
+    workers: int = 2,
     bound_height: int = 1,
     bound_size: int = 4,
 ) -> Oracle:

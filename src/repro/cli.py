@@ -1131,7 +1131,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker base URL (repeatable), e.g. "
                               "http://127.0.0.1:8451")
     p_coord.add_argument("--slices", type=int, default=None,
-                         help="slice count (default: 2 x workers)")
+                         help="slice count (default: the planner's, one "
+                              "per worker for a small job)")
     p_coord.add_argument("--order", default="degree",
                          help="root ordering strategy (must match across "
                               "coordinator and workers)")

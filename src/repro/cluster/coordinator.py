@@ -2,9 +2,12 @@
 
 One :class:`ClusterCoordinator` drives one federated enumeration job:
 
-1. **Plan** — load the graph, compute the canonical addressable-root
-   list, cut it into load-balanced ranges
-   (:func:`repro.core.parallel.plan_root_ranges`), journal the plan.
+1. **Plan** — load the graph, compute the per-root costs over the
+   canonical addressable-root list (:func:`repro.plan.root_cost_estimates`),
+   size the slice count by the job's total cost
+   (:func:`repro.plan.recommend_slices`), cut the list into
+   cost-balanced ranges (:func:`repro.core.parallel.plan_root_ranges`),
+   journal the plan.
 2. **Dispatch** — send each slice to a healthy peer ``repro serve``
    worker over the HTTP job API (``POST /slices``).  Dispatch is
    *at-least-once*: a slice may be re-sent after a worker dies, after a
@@ -42,9 +45,12 @@ from repro.bigraph.graph import BipartiteGraph
 from repro.bigraph.io import read_edge_list
 from repro.core.base import Biclique
 from repro.core.io_results import BicliqueWriter, read_bicliques
-from repro.core.parallel import addressable_roots, subtree_estimate
 from repro.cluster.client import WorkerClient, WorkerUnreachable
-from repro.plan import recommend_slices, recommend_straggler_factor
+from repro.plan import (
+    recommend_slices,
+    recommend_straggler_factor,
+    root_cost_estimates,
+)
 from repro.cluster.journal import ClusterJournal
 from repro.cluster.slices import RangeCoverage, SliceSpec, plan_slices
 from repro.obs.metrics import MetricRegistry
@@ -63,8 +69,9 @@ class ClusterConfig:
     state_dir: str
     workers: list[str] = field(default_factory=list)
     #: slice count; None asks the planner
-    #: (:func:`repro.plan.recommend_slices`): ``2 × workers`` baseline,
-    #: finer on graphs whose per-root cost estimates are heavy-tailed
+    #: (:func:`repro.plan.recommend_slices`): one per worker for a job
+    #: under the fine-slicing work threshold, else ``2 × workers`` plus
+    #: more on graphs whose per-root costs are heavy-tailed
     n_slices: int | None = None
     order: str = "degree"
     seed: int = 0
@@ -248,14 +255,13 @@ class ClusterCoordinator:
 
     def _plan(self, graph: BipartiteGraph, source: dict) -> tuple[str, int]:
         cfg = self.config
-        roots = addressable_roots(graph, cfg.order, seed=cfg.seed)
-        n_roots = len(roots)
-        # the planner's per-root cost estimates drive both knobs that
-        # used to be guessed: how many slices to cut and how long an
-        # in-flight slice may run before it counts as a straggler
-        estimates = [subtree_estimate(graph, v)[0] for v in roots]
+        # the per-root costs, computed once, drive every plan knob: how
+        # many slices to cut, where to cut them, and how long an in-flight
+        # slice may run before it counts as a straggler
+        costs = root_cost_estimates(graph, cfg.order, seed=cfg.seed)
+        n_roots = len(costs)
         if cfg.straggler_factor == "auto":
-            self._straggler_factor = recommend_straggler_factor(estimates)
+            self._straggler_factor = recommend_straggler_factor(costs)
         elif cfg.straggler_factor is not None:
             self._straggler_factor = float(cfg.straggler_factor)
         fingerprint = self._job_fingerprint(source, n_roots)
@@ -270,7 +276,7 @@ class ClusterCoordinator:
             specs = [SliceSpec.from_dict(d) for d in plan["slices"]]
         else:
             n_slices = cfg.n_slices or recommend_slices(
-                len(cfg.workers), estimates
+                len(cfg.workers), costs, cfg.poll_interval
             )
             source_fields = {
                 k: source.get(k)
@@ -288,6 +294,7 @@ class ClusterCoordinator:
                 fmt=source.get("fmt", "auto"),
                 min_left=cfg.min_left,
                 min_right=cfg.min_right,
+                costs=costs,
                 engine_options=dict(cfg.engine_options),
                 faults=cfg.faults,
                 graph_key=_graph_key(graph),

@@ -180,19 +180,25 @@ def plan_slices(
     source: dict[str, Any],
     order: str = "degree",
     seed: int = 0,
+    costs: list[int] | None = None,
     **fields: Any,
 ) -> list[SliceSpec]:
     """Plan load-balanced slices of ``graph`` for a federated job.
 
     ``source`` carries exactly one of ``dataset`` / ``graph_path`` /
-    ``edges`` (how *workers* will load the graph); extra ``fields`` are
-    forwarded to every :class:`SliceSpec` (thresholds, time limits,
-    engine options, chaos faults).
+    ``edges`` (how *workers* will load the graph); ``costs`` are the
+    per-root costs (:func:`repro.plan.root_cost_estimates`, computed here
+    when not given); extra ``fields`` are forwarded to every
+    :class:`SliceSpec` (thresholds, time limits, engine options, chaos
+    faults).
     """
-    from repro.core.parallel import addressable_roots, plan_root_ranges
+    from repro.core.parallel import plan_root_ranges
+    from repro.plan import root_cost_estimates
 
-    n_roots = len(addressable_roots(graph, order, seed=seed))
-    ranges = plan_root_ranges(graph, n_slices, order=order, seed=seed)
+    if costs is None:
+        costs = root_cost_estimates(graph, order, seed=seed)
+    n_roots = len(costs)
+    ranges = plan_root_ranges(costs, n_slices)
     return [
         SliceSpec(
             slice_id=f"s{i:04d}",

@@ -15,6 +15,9 @@ distribution *load-aware*:
 * **LPT scheduling.**  Tasks are dispatched largest-estimate-first to the
   process pool, the classic longest-processing-time heuristic.
 
+With ``workers=1`` (a federated slice on its worker) neither applies:
+each root is one task, run inline in root order.
+
 On top of the distribution sits the **resilient runtime**
 (:mod:`repro.runtime`): execution goes through a
 :class:`~repro.runtime.ResilientExecutor` that survives worker crashes and
@@ -40,7 +43,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
+from itertools import accumulate
 
 from repro.bigraph.graph import BipartiteGraph
 from repro.bigraph.ordering import rank_of, vertex_order
@@ -109,43 +114,35 @@ def addressable_roots(
 
 
 def plan_root_ranges(
-    graph: BipartiteGraph,
-    n_slices: int,
-    order: str = "degree",
-    seed: int = 0,
-    bound_size: int = 256,
+    costs: list[int], n_slices: int
 ) -> list[tuple[int, int]]:
-    """Partition the addressable root space into ≤ ``n_slices`` ranges.
+    """Partition a root space into ≤ ``n_slices`` cost-balanced ranges.
 
-    Contiguous ``[lo, hi)`` index ranges over :func:`addressable_roots`,
-    balanced by the same subtree estimate the in-process scheduler uses,
-    covering the whole space with no overlap.  Fewer ranges are returned
-    when the graph has fewer roots than requested slices.
+    ``costs[i]`` is the cost of root ``i`` of :func:`addressable_roots`
+    (:func:`repro.plan.root_cost_estimates`).  The result is contiguous
+    ``[lo, hi)`` index ranges covering the whole space with no overlap.
+    Cut ``j`` falls on the root boundary whose cost prefix is nearest
+    ``j / k`` of the total, so no range costs more than ``total / k``
+    plus the largest root.  Fewer ranges are returned when there are
+    fewer roots than requested slices.
     """
     if n_slices < 1:
         raise ValueError("n_slices must be >= 1")
-    roots = addressable_roots(graph, order, seed=seed)
-    if not roots:
+    n = len(costs)
+    if not n:
         return []
-    estimates = [subtree_estimate(graph, v, bound_size)[0] for v in roots]
-    total = sum(estimates)
-    n_slices = min(n_slices, len(roots))
-    target = total / n_slices
-    ranges: list[tuple[int, int]] = []
-    lo, acc = 0, 0
-    for i, est in enumerate(estimates):
-        acc += est
-        # keep enough roots back for the remaining slices
-        remaining_slices = n_slices - len(ranges)
-        if (
-            acc >= target
-            and len(roots) - (i + 1) >= remaining_slices - 1
-        ) or len(roots) - (i + 1) == remaining_slices - 1:
-            if remaining_slices > 1:
-                ranges.append((lo, i + 1))
-                lo, acc = i + 1, 0
-    ranges.append((lo, len(roots)))
-    return ranges
+    k = min(n_slices, n)
+    prefix = list(accumulate(costs, initial=0))
+    cuts = [0]
+    for j in range(1, k):
+        goal = prefix[-1] * j / k
+        cut = bisect_left(prefix, goal)
+        if cut and goal - prefix[cut - 1] <= prefix[cut] - goal:
+            cut -= 1
+        # every range keeps at least one root
+        cuts.append(max(cuts[-1] + 1, min(cut, n - (k - j))))
+    cuts.append(n)
+    return list(zip(cuts, cuts[1:]))
 
 
 class _LocalCounter:
@@ -428,6 +425,11 @@ class ParallelMBE(MBEAlgorithm):
         serialisable shard contract of the federated tier
         (:mod:`repro.cluster`): disjoint ranges over the same canonical
         root list partition the full result set exactly.
+
+        One worker runs every task inline, one after another, so it gets
+        one whole task per root in root order: its parts would each
+        rebuild the subproblem and reseed the store, and there is no
+        second worker to hand them to.
         """
         roots = addressable_roots(graph, self.order, seed=self.seed)
         if self.root_range is not None:
@@ -435,6 +437,8 @@ class ParallelMBE(MBEAlgorithm):
             if lo >= len(roots):
                 return []
             roots = roots[lo:min(hi, len(roots))]
+        if self.workers == 1:
+            return [(v, 0, 1) for v in roots]
         estimated: list[tuple[int, int, int]] = []  # (estimate, height, v)
         for v in roots:
             estimate, height = self._estimate(graph, v)

@@ -28,6 +28,7 @@ from repro.plan.planner import (
     PlanCandidate,
     PlanError,
     build_plan,
+    fine_slicing_min_wedges,
     recommend_slices,
     recommend_straggler_factor,
     root_cost_estimates,
@@ -49,6 +50,7 @@ __all__ = [
     "estimate_cost",
     "extract_features",
     "feature_basis",
+    "fine_slicing_min_wedges",
     "fit_coefficients",
     "recommend_slices",
     "recommend_straggler_factor",

@@ -21,7 +21,6 @@ estimates via :func:`recommend_slices` /
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
@@ -37,6 +36,7 @@ __all__ = [
     "PlanCandidate",
     "PlanError",
     "build_plan",
+    "fine_slicing_min_wedges",
     "recommend_slices",
     "recommend_straggler_factor",
     "root_cost_estimates",
@@ -366,42 +366,82 @@ def build_plan(
 
 # -- cluster-facing estimates ----------------------------------------------
 
+#: One federated slice round trip, less the coordinator's poll sleep
+#: (``ClusterConfig.poll_interval``): the dispatch POST, a status GET and
+#: the result GET on a loopback cluster.  Measured per extra round as
+#: 62.2 ms at a 0.05 s poll and 30.8 ms at 0.02 s (two-worker cluster,
+#: 2-core x86-64 host, CPython 3.11.7; docs/planning.md).
+SLICE_REQUEST_SECONDS = 0.012
+
+#: Build-plus-search time per wedge of root cost (:func:`root_cost_estimates`),
+#: measured over the first-level subproblems of five federated-benchmark-
+#: shaped graphs on the same host: 1.03–1.06 µs per wedge on each.
+SECONDS_PER_WEDGE = 1.05e-6
+
+#: Job size, in slice round trips of engine work, below which a federated
+#: job gets one slice per worker.  Measured on the same host with two
+#: workers (docs/planning.md): one slice per worker beat ``2 × workers`` +
+#: skew slices by 11–16% on jobs of 71k–582k wedges, and the finer plan
+#: won by more than the spread at no size up to 4.62M.  Its extra cost
+#: fell within the spread from about 40 round trips up (2.36M wedges at a
+#: 0.05 s poll).  Above that the finer plan is kept for straggler
+#: re-splits and finer re-dispatch after a worker loss; no clean run
+#: measures that gain, so the threshold is unverified there.
+FINE_SLICING_ROUND_TRIPS = 40
+
+
+def fine_slicing_min_wedges(poll_interval: float = 0.05) -> int:
+    """Total root cost from which a federated job is cut finer than one
+    slice per worker, for a coordinator polling every ``poll_interval``
+    seconds (the default is :class:`~repro.cluster.ClusterConfig`'s)."""
+    round_trip = poll_interval + SLICE_REQUEST_SECONDS
+    return round(FINE_SLICING_ROUND_TRIPS * round_trip / SECONDS_PER_WEDGE)
+
+
 def root_cost_estimates(
     graph: "BipartiteGraph", order: str = "degree", seed: int = 0
 ) -> list[int]:
-    """Per-root subtree cost estimates over the addressable root list.
+    """Per-root cost over the addressable root list: its wedge count.
 
-    Index ``i`` estimates the work under root ``i`` of
-    :func:`repro.core.parallel.addressable_roots` — the same unit the
-    in-process scheduler and the federated slice planner balance on.
+    Index ``i`` holds ``w(v) = Σ_{u∈N(v)} deg(u)`` for root ``v`` at index
+    ``i`` of :func:`repro.core.parallel.addressable_roots`: the exact
+    size of the scan :func:`~repro.core.decompose.build_subproblem` makes
+    for ``v``, O(deg v) to compute.  It is the one cost unit the
+    federated planner sizes and cuts slices by and sets the straggler
+    threshold from.
     """
-    from repro.core.parallel import addressable_roots, subtree_estimate
+    from repro.core.parallel import addressable_roots
 
+    degree_u = graph.degree_u
     return [
-        subtree_estimate(graph, v)[0]
+        sum(map(degree_u, graph.neighbors_v(v)))
         for v in addressable_roots(graph, order, seed=seed)
     ]
 
 
 def recommend_slices(
-    n_workers: int, estimates: list[int]
+    n_workers: int, estimates: list[int], poll_interval: float = 0.05
 ) -> int:
-    """Slice count for a federated job, from the root-cost distribution.
+    """Slice count for a federated job, from its per-root costs.
 
-    Baseline ``2 × workers`` (reassignment granularity without per-root
-    chatter), plus extra slices when the root-cost distribution is
-    heavy-tailed — a fat root trapped in a fat slice is exactly what
-    straggler re-splits have to fix after the fact, so skewed graphs
-    start finer.  Capped by the root count (a slice needs a root).
+    A job whose total cost is under :func:`fine_slicing_min_wedges` (at
+    the coordinator's ``poll_interval``) gets one slice per worker: every
+    slice round trip is paid once and all workers start at once.  A larger job gets ``2 × workers``
+    (reassignment granularity without per-root chatter), plus extra
+    slices when the root-cost distribution is heavy-tailed: a fat root
+    trapped in a fat slice is exactly what straggler re-splits have to
+    fix after the fact, so skewed graphs start finer.  Capped by the
+    root count (a slice needs a root).
     """
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
-    if not estimates:
-        return max(1, 2 * n_workers)
-    mean = sum(estimates) / len(estimates)
-    skew = (max(estimates) / mean) if mean > 0 else 1.0
+    total = sum(estimates)
+    if total < fine_slicing_min_wedges(poll_interval):
+        return max(1, min(len(estimates), n_workers))
+    mean = total / len(estimates)
+    skew = max(estimates) / mean
     extra = min(4 * n_workers, math.ceil(max(0.0, skew - 1.0) / 4))
-    return max(1, min(len(estimates), 2 * n_workers + extra))
+    return min(len(estimates), 2 * n_workers + extra)
 
 
 def recommend_straggler_factor(estimates: list[int]) -> float:
@@ -419,15 +459,3 @@ def recommend_straggler_factor(estimates: list[int]) -> float:
         return 4.0
     skew = max(estimates) / mean
     return max(2.0, min(10.0, 1.5 + skew / 2.0))
-
-
-def summarize_estimates(estimates: list[int]) -> dict[str, float]:
-    """Small stats row over per-root estimates (for logs and journals)."""
-    if not estimates:
-        return {"n_roots": 0, "total": 0, "max": 0, "median": 0.0}
-    return {
-        "n_roots": len(estimates),
-        "total": sum(estimates),
-        "max": max(estimates),
-        "median": float(statistics.median(estimates)),
-    }

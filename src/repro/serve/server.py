@@ -1209,6 +1209,10 @@ def make_http_server(
     return httpd
 
 
+#: How often the main thread of :func:`run_server` looks for a signal.
+_STOP_POLL_SECONDS = 0.2
+
+
 def run_server(
     config: ServiceConfig, host: str = "127.0.0.1", port: int = 0
 ) -> int:
@@ -1224,11 +1228,13 @@ def run_server(
     with open(port_file, "w", encoding="utf-8") as handle:
         handle.write(f"{bound_port}\n")
 
-    stop = threading.Event()
+    # the handler only appends to a list: a handler that takes a lock
+    # (as Event.set does) deadlocks when the signal lands while the main
+    # thread holds that lock, as Event.wait does for a moment each call
+    received: list[int] = []
 
     def _on_signal(signum, _frame):
-        print(f"serve: received signal {signum}, draining", flush=True)
-        stop.set()
+        received.append(signum)
 
     signal.signal(signal.SIGTERM, _on_signal)
     signal.signal(signal.SIGINT, _on_signal)
@@ -1245,8 +1251,9 @@ def run_server(
         flush=True,
     )
     try:
-        while not stop.is_set():
-            stop.wait(0.2)
+        while not received:
+            time.sleep(_STOP_POLL_SECONDS)
+        print(f"serve: received signal {received[0]}, draining", flush=True)
     finally:
         httpd.shutdown()
         service.drain()

@@ -275,6 +275,49 @@ class TestHarness:
         assert [r["type"] for r in records] == ["summary"]
 
 
+    def test_time_budget_binds_between_agreement_engines(self, monkeypatch):
+        """Each fake engine run advances a fake clock by 0.04 s; with a
+        0.1 s budget the agreement oracle stops after the third engine,
+        mid-oracle, and the cut case is neither counted nor recorded."""
+        from repro.check import harness
+        from repro.core.mbet import MBET
+
+        clock = [0.0]
+        runs: list[int] = []
+
+        class FakeTime:
+            @staticmethod
+            def perf_counter():
+                return clock[0]
+
+        class SlowMBET(MBET):
+            def run(self, graph, **kwargs):
+                runs.append(1)
+                clock[0] += 0.04
+                return super().run(graph, **kwargs)
+
+        monkeypatch.setattr(harness, "time", FakeTime)
+        monkeypatch.setattr(
+            harness, "_engine_pool",
+            lambda *_args: [
+                EngineSpec.make(f"slow{i}", factory=SlowMBET)
+                for i in range(10)
+            ],
+        )
+        records: list[dict] = []
+        report = run_fuzz(
+            FuzzConfig(seed=1, time_budget=0.1, max_cases=5,
+                       oracles=("agreement",), max_side=5),
+            on_case=records.append,
+        )
+        assert report.stopped == "time_budget"
+        assert report.oracle_runs["agreement"] == 1
+        assert len(runs) == 3
+        assert report.elapsed <= 0.1 + 0.04 + 1e-9
+        assert report.cases == 0
+        assert [r["type"] for r in records] == ["summary"]
+
+
 class TestKillResumeParity:
     """Satellite: interrupt a checkpointed parallel run, resume, expect
     exact parity — the harness oracle drives reconcile_tasks end to end."""

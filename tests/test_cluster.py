@@ -19,6 +19,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import BipartiteGraph, run_mbe
 from repro.bigraph.generators import planted_bicliques
@@ -34,6 +36,7 @@ from repro.cluster import (
 from repro.cluster.journal import ClusterJournal, ClusterJournalError
 from repro.core.parallel import addressable_roots, plan_root_ranges
 from repro.obs.sinks import parse_prometheus_text
+from repro.plan import recommend_slices, root_cost_estimates
 from repro.serve import (
     EnumerationService,
     JobSpec,
@@ -64,18 +67,37 @@ class TestRootRanges:
     def test_plan_covers_contiguously(self, n_slices):
         g = _graph()
         roots = addressable_roots(g)
-        ranges = plan_root_ranges(g, n_slices)
+        ranges = plan_root_ranges(root_cost_estimates(g), n_slices)
         assert 1 <= len(ranges) <= n_slices
         assert ranges[0][0] == 0 and ranges[-1][1] == len(roots)
         for (_, a_hi), (b_lo, _) in zip(ranges, ranges[1:]):
             assert a_hi == b_lo  # contiguous, no gap, no overlap
         assert all(lo < hi for lo, hi in ranges)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        costs=st.lists(st.integers(0, 1000), min_size=1, max_size=60),
+        n_slices=st.integers(1, 12),
+    )
+    def test_root_ranges_cover_and_bound_the_worst_slice(
+        self, costs, n_slices
+    ):
+        ranges = plan_root_ranges(costs, n_slices)
+        k = min(n_slices, len(costs))
+        assert len(ranges) == k
+        assert ranges[0][0] == 0 and ranges[-1][1] == len(costs)
+        assert all(lo < hi for lo, hi in ranges)
+        for (_, a_hi), (b_lo, _) in zip(ranges, ranges[1:]):
+            assert a_hi == b_lo
+        worst = max(sum(costs[lo:hi]) for lo, hi in ranges)
+        # worst <= total / k + max root cost, in exact integers
+        assert worst * k <= sum(costs) + k * max(costs)
+
     def test_root_range_union_equals_full_enumeration(self):
         g = _graph()
         truth = _truth(g)
         merged = []
-        for lo, hi in plan_root_ranges(g, 4):
+        for lo, hi in plan_root_ranges(root_cost_estimates(g), 4):
             part = run_mbe(g, "parallel", collect=True, workers=1,
                            root_range=(lo, hi))
             merged.extend(part.bicliques)
@@ -456,6 +478,17 @@ class TestCoordinatorInProcess:
         samples = parse_prometheus_text(coord.metrics_text())
         assert samples['cluster_slices_total{event="completed"}'] == 4
         assert samples["cluster_workers_alive"] == 2
+
+    def test_planner_gives_a_small_job_one_slice_per_worker(self, tmp_path):
+        g = _graph()
+        coord, result = self._run(tmp_path, g)  # no n_slices: planner's
+        assert recommend_slices(2, root_cost_estimates(g)) == 2
+        assert result.meta["slices"] == 2
+        assert result.complete
+        assert len(result.bicliques) == len(result.biclique_set())
+        assert result.biclique_set() == _truth(g)
+        samples = parse_prometheus_text(coord.metrics_text())
+        assert samples['cluster_slices_total{event="completed"}'] == 2
 
     def test_single_worker_single_slice(self, tmp_path):
         g = _graph(seed=5, noise=20)

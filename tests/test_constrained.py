@@ -100,11 +100,12 @@ class TestParallelConstrained:
             assert got.count == len(want)
 
     def test_thresholds_with_forced_slicing(self, g0):
-        # bound_height/bound_size force per-root slicing; the min_right
-        # gate in _run_root_slice must not double- or zero-report roots
+        # bound_height/bound_size force per-root slicing (two workers:
+        # one runs roots whole); the min_right gate in _run_root_slice
+        # must not double- or zero-report roots
         want = run_mbe(g0, "mbet", min_left=2, min_right=2).biclique_set()
         got = run_mbe(
-            g0, "parallel", workers=1, bound_height=1, bound_size=1,
+            g0, "parallel", workers=2, bound_height=1, bound_size=1,
             min_left=2, min_right=2,
         )
         assert got.biclique_set() == want

@@ -68,6 +68,21 @@ class TestTaskBuilding:
             assert all(n == n_parts for _, n in slices)
             assert sorted(p for p, _ in slices) == list(range(n_parts))
 
+    def test_one_worker_runs_each_root_whole(self):
+        # a deep narrow chain once planned 1,552 root-slice tasks for 400
+        # roots at workers=1; each part rebuilt its subproblem inline
+        g = nested_chain(400)
+        algo = ParallelMBE(workers=1, order="natural")
+        tasks = algo._make_tasks(g)
+        assert len(tasks) == 400
+        assert all(t[1:] == (0, 1) for t in tasks)
+        forced = ParallelMBE(workers=1, bound_height=1, bound_size=1)
+        assert all(t[1:] == (0, 1) for t in forced._make_tasks(g))
+        # the split path stays at two workers and on retry
+        pooled = ParallelMBE(workers=2, order="natural")._make_tasks(g)
+        assert len(pooled) > 400
+        assert algo._split_for_retry(g, tasks[0], 1)
+
     def test_large_tasks_first(self):
         g = load("mti")
         tasks = ParallelMBE(workers=2)._make_tasks(g)
@@ -104,11 +119,12 @@ class TestAgreement:
         assert result.stats.maximal == result.count == 6
 
     def test_sliced_roots_use_the_engine_store(self):
-        # bound_size=1 slices every splittable root; sliced roots build
-        # their store through the engine, so the linear-scan pin holds
-        # and their checks are folded exactly as the serial run's are
+        # bound_size=1 slices every splittable root (with two workers;
+        # one runs roots whole); sliced roots build their store through
+        # the engine, so the linear-scan pin holds and their checks are
+        # folded exactly as the serial run's are
         g = load("mti")
-        options = {"workers": 1, "bound_height": 1, "bound_size": 1,
+        options = {"workers": 2, "bound_height": 1, "bound_size": 1,
                    "collect": False}
         sliced = ParallelMBE(bound_height=1, bound_size=1)._make_tasks(g)
         assert len(sliced) > len(ParallelMBE()._make_tasks(g))

@@ -35,6 +35,7 @@ from repro.bigraph.graph import BipartiteGraph
 from repro.bigraph.stats import compute_stats
 from repro.cli import main
 from repro.core.base import run_mbe
+from repro.datasets import load
 from repro.plan import (
     DEFAULT_COEFFICIENTS,
     PLANNER_ENGINES,
@@ -51,7 +52,7 @@ from repro.plan import (
 )
 from repro.plan.features import FEATURES_VERSION, PlanFeatures
 from repro.plan.model import CALIBRATION_MAX_DENSITY
-from repro.plan.planner import BUDGET_FLOOR_SECONDS
+from repro.plan.planner import BUDGET_FLOOR_SECONDS, fine_slicing_min_wedges
 from tests.conftest import make_g0
 
 
@@ -400,15 +401,55 @@ class TestClusterEstimates:
         assert all(e >= 0 for e in estimates)
 
     def test_recommend_slices_baseline_and_skew(self):
-        flat = [10] * 40
-        assert recommend_slices(3, flat) == 6  # 2 x workers
-        skewed = [1] * 39 + [1000]
+        threshold = fine_slicing_min_wedges()
+        # a job under the fine-slicing threshold: one slice per worker
+        small = [10] * 40
+        assert sum(small) < threshold
+        assert recommend_slices(3, small) == 3
+        assert recommend_slices(3, [1] * 39 + [1000]) == 3
+        # above it: 2 x workers, finer when the root costs are skewed
+        unit = threshold // 40 + 1
+        flat = [unit] * 40
+        assert recommend_slices(3, flat) == 6
+        skewed = [unit] * 39 + [unit * 1000]
         assert recommend_slices(3, skewed) > 6
         # capped by the root count
         assert recommend_slices(8, [5, 5, 5]) == 3
-        assert recommend_slices(2, []) == 4
+        assert recommend_slices(8, [threshold] * 3) == 3
+        assert recommend_slices(2, []) == 1
         with pytest.raises(ValueError):
             recommend_slices(0, flat)
+
+    def test_fine_slicing_threshold_follows_the_poll_interval(self):
+        from repro.plan.planner import (
+            FINE_SLICING_ROUND_TRIPS,
+            SECONDS_PER_WEDGE,
+            SLICE_REQUEST_SECONDS,
+        )
+
+        for poll in (0.02, 0.05, 0.2):
+            work = fine_slicing_min_wedges(poll) * SECONDS_PER_WEDGE
+            round_trip = poll + SLICE_REQUEST_SECONDS
+            assert work == pytest.approx(
+                FINE_SLICING_ROUND_TRIPS * round_trip, rel=1e-3
+            )
+        # a job between the two thresholds: a faster poll makes the extra
+        # round trips cheap enough to cut it finer
+        costs = [fine_slicing_min_wedges(0.02) // 40 + 1] * 40
+        assert sum(costs) < fine_slicing_min_wedges(0.05)
+        assert recommend_slices(2, costs, poll_interval=0.05) == 2
+        assert recommend_slices(2, costs, poll_interval=0.02) == 4
+
+    def test_root_costs_are_wedge_counts(self):
+        from repro.core.parallel import addressable_roots
+
+        g = load("mti")
+        roots = addressable_roots(g, "degree", seed=0)
+        costs = root_cost_estimates(g)
+        for v, cost in zip(roots, costs):
+            assert cost == sum(
+                len(g.neighbors_u(u)) for u in g.neighbors_v(v)
+            )
 
     def test_recommend_straggler_factor_grows_with_skew(self):
         assert recommend_straggler_factor([]) == 4.0

@@ -1228,6 +1228,67 @@ class TestServerProcess:
             proc2.communicate(timeout=30)
 
 
+class TestRunServerSignals:
+    def test_signal_inside_the_stop_wait_returns_and_drains(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A SIGTERM that lands while the main loop is inside its wait
+        runs the installed handler right there, in the main thread.  The
+        handler must return (one that takes a lock the waiting thread
+        holds, as ``threading.Event.set`` does, never would) and the loop
+        must then exit and drain."""
+        from repro.serve import server as server_mod
+
+        handlers: dict = {}
+        monkeypatch.setattr(
+            server_mod.signal, "signal",
+            lambda signum, handler: handlers.__setitem__(signum, handler),
+        )
+        main = threading.current_thread()
+        waits: list[float] = []
+        returned: list[bool] = []
+
+        class Clock:
+            """``time`` for the server module; the main thread's sleep is
+            the stop loop's wait, and the signal lands inside it."""
+
+            def __getattr__(self, name):
+                return getattr(time, name)
+
+            @staticmethod
+            def sleep(seconds):
+                if threading.current_thread() is not main:
+                    return time.sleep(seconds)
+                waits.append(seconds)
+                if len(waits) == 1:
+                    handlers[signal.SIGTERM](signal.SIGTERM, None)
+                    returned.append(True)
+                else:
+                    raise AssertionError("the stop loop missed the signal")
+
+        monkeypatch.setattr(server_mod, "time", Clock())
+        # backstop: a loop that never enters the patched wait is stopped
+        # from another thread after 30 s, and the asserts below fail
+        backstop = threading.Timer(
+            30, lambda: handlers[signal.SIGTERM](signal.SIGTERM, None)
+        )
+        backstop.daemon = True
+        backstop.start()
+        try:
+            code = server_mod.run_server(
+                ServiceConfig(state_dir=str(tmp_path / "svc"))
+            )
+        finally:
+            backstop.cancel()
+        assert code == 0
+        assert returned == [True] and len(waits) == 1
+        assert {signal.SIGTERM, signal.SIGINT} <= set(handlers)
+        out = capsys.readouterr().out
+        assert f"received signal {int(signal.SIGTERM)}, draining" in out
+        assert "drained, exiting" in out
+        assert not (tmp_path / "svc" / "serve.port").exists()
+
+
 # --------------------------------------------------------------------------
 # graph resolution caching (admission must not re-parse per request)
 

@@ -4,7 +4,9 @@
 Boots two ``repro serve`` workers on ephemeral ports, runs a
 ``ClusterCoordinator`` against them with slow-fault injection (so
 slices are reliably mid-flight), SIGKILLs one worker while it holds a
-dispatched slice, and asserts:
+dispatched slice, and asserts, in two passes (a pinned ``n_slices=6``,
+then the planner's own count, which must equal
+:func:`repro.plan.recommend_slices`):
 
 1. the coordinator declares the victim dead and reassigns its slices;
 2. the run completes and the merged biclique set equals an in-process
@@ -34,6 +36,7 @@ from repro import run_mbe
 from repro.cluster import ClusterConfig, ClusterCoordinator
 from repro.datasets import load
 from repro.obs.sinks import parse_prometheus_text
+from repro.plan import recommend_slices, root_cost_estimates
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -68,15 +71,13 @@ def boot_worker(state_dir: Path) -> tuple[subprocess.Popen, str]:
         time.sleep(0.05)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--dataset", default="yg")
-    parser.add_argument("--timeout", type=float, default=180.0)
-    args = parser.parse_args(argv)
-
-    truth = run_mbe(load(args.dataset), "mbet").biclique_set()
-    print(f"dataset {args.dataset}: {len(truth)} maximal bicliques expected")
-
+def smoke_pass(
+    dataset: str, truth: frozenset, n_slices: int | None,
+    slow_seconds: float, timeout: float,
+) -> None:
+    """Boot two workers, SIGKILL one mid-slice, assert an exact merge."""
+    label = f"n_slices={n_slices}" if n_slices else "planner's slice count"
+    print(f"== pass: {label} ==")
     root = Path(tempfile.mkdtemp(prefix="cluster-smoke-"))
     procs, urls = [], []
     print("[1/4] booting 2 serve workers on ephemeral ports ...")
@@ -89,14 +90,14 @@ def main(argv: list[str] | None = None) -> int:
     config = ClusterConfig(
         state_dir=str(root / "coord"),
         workers=urls,
-        n_slices=6,
+        n_slices=n_slices,
         heartbeat_interval=0.15,
         heartbeat_timeout=1.0,
         poll_interval=0.02,
-        time_limit=args.timeout,
+        time_limit=timeout,
         # every root task sleeps briefly, so the victim reliably holds
         # a mid-flight slice when the SIGKILL lands
-        faults={"slow_rate": 1.0, "slow_seconds": 0.25},
+        faults={"slow_rate": 1.0, "slow_seconds": slow_seconds},
     )
     coord = ClusterCoordinator(config)
     victim, victim_url = procs[0], urls[0]
@@ -120,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     killer = threading.Thread(target=assassin, daemon=True)
     killer.start()
     try:
-        result = coord.run({"dataset": args.dataset})
+        result = coord.run({"dataset": dataset})
         metrics_text = coord.metrics_text()
     finally:
         coord.close()
@@ -135,6 +136,12 @@ def main(argv: list[str] | None = None) -> int:
         fail("the victim worker survived its SIGKILL")
     if not result.complete:
         fail(f"federated run incomplete: {result.meta}")
+    if n_slices is None:
+        want = recommend_slices(2, root_cost_estimates(load(dataset)),
+                                config.poll_interval)
+        if result.meta["slices"] != want:
+            fail(f"planned {result.meta['slices']} slices, the planner "
+                 f"recommends {want}")
     got = result.biclique_set()
     if len(result.bicliques) != len(got):
         fail(f"merge produced duplicates: "
@@ -144,8 +151,8 @@ def main(argv: list[str] | None = None) -> int:
              f"{len(got)} vs {len(truth)} bicliques")
     if result.meta["workers"][victim_url] != "dead":
         fail(f"victim not recorded dead: {result.meta['workers']}")
-    print(f"      complete, exact match: {len(got)} bicliques, "
-          f"worker 0 recorded dead")
+    print(f"      complete, exact match: {len(got)} bicliques in "
+          f"{result.meta['slices']} slices, worker 0 recorded dead")
 
     print("[4/4] cluster_* metrics parse-back ...")
     samples = parse_prometheus_text(metrics_text)
@@ -164,6 +171,20 @@ def main(argv: list[str] | None = None) -> int:
           f"reassignments={int(samples['cluster_reassignments_total'])} "
           f"merged={int(merged)}")
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--dataset", default="yg")
+    parser.add_argument("--timeout", type=float, default=180.0)
+    args = parser.parse_args(argv)
+
+    truth = run_mbe(load(args.dataset), "mbet").biclique_set()
+    print(f"dataset {args.dataset}: {len(truth)} maximal bicliques expected")
+    # a pinned count, then the planner's own (one slice per worker on a
+    # small job: the slow fault is shorter so each pass's slices hold a
+    # similar few seconds of sleep)
+    smoke_pass(args.dataset, truth, 6, 0.25, args.timeout)
+    smoke_pass(args.dataset, truth, None, 0.05, args.timeout)
     print("OK: cluster smoke test passed")
     return 0
 
