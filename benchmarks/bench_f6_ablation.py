@@ -1,8 +1,9 @@
 """R-F6: ablation of MBET's techniques.
 
-One benchmark per disabled technique on the yg stand-in.  Expected shape:
-full mbet is the fastest column; w/o-trie pays on deep traversed sets,
-w/o-merge on repeated signatures, w/o-sort on branch ordering.
+One benchmark per disabled or pinned technique on the yg stand-in.
+Expected shape: full mbet (the reduced linear scan) is the fastest
+column; the paper's always-trie store pays a Python-level step per trie
+node, w/o-merge pays on repeated signatures, w/o-sort on branch ordering.
 Full table: ``python -m repro experiments --run R-F6``.
 """
 
@@ -14,7 +15,7 @@ from repro import datasets, run_mbe
 
 VARIANTS = [
     ("full", {}),
-    ("no-trie", {"use_trie": False}),
+    ("trie", {"use_trie": True}),
     ("no-merge", {"use_merge": False}),
     ("no-sort", {"use_sort": False}),
 ]

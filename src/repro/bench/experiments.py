@@ -240,7 +240,10 @@ def exp_t2_pruning(quick: bool = False) -> ExperimentResult:
         graph = datasets.load(key)
         base = run_timed(graph, "mbea", dataset=key)
         tree = run_timed(graph, "mbet", dataset=key, use_trie=True)
+        scan = run_timed(graph, "mbet", dataset=key)
         alpha = max(tree.count, 1)
+        full = tree.stats["checks"] + tree.stats["trie_pruned"]  # full scan
+        reduced = max(scan.stats["checks"], 1)
         rows.append(
             [
                 key,
@@ -249,6 +252,7 @@ def exp_t2_pruning(quick: bool = False) -> ExperimentResult:
                 f"{tree.stats['non_maximal'] / alpha:.2f}",
                 tree.stats["merged_candidates"],
                 f"{tree.stats['trie_pruned'] / max(tree.stats['checks'], 1):.1f}",
+                f"{(full - reduced) / reduced:.1f}",
             ]
         )
     return ExperimentResult(
@@ -256,9 +260,11 @@ def exp_t2_pruning(quick: bool = False) -> ExperimentResult:
         "Enumeration-node checking effectiveness",
         tables=[
             (
-                "Non-maximal-to-maximal ratio (δ/α) and prefix-tree savings",
+                "Non-maximal-to-maximal ratio (δ/α) and stored sets each "
+                "check step avoids against a full scan",
                 ["dataset", "maximal (α)", "δ/α mbea", "δ/α mbet",
-                 "merged candidates", "avoided scans per check"],
+                 "merged candidates", "avoided per step: trie",
+                 "avoided per step: reduced scan"],
                 rows,
             )
         ],
@@ -310,7 +316,6 @@ def exp_f6_ablation(quick: bool = False) -> ExperimentResult:
     variants: list[tuple[str, str, dict]] = [
         ("mbet", "mbet", {}),
         ("trie always", "mbet", {"use_trie": True}),
-        ("w/o trie", "mbet", {"use_trie": False}),
         ("w/o merge", "mbet", {"use_merge": False}),
         ("w/o sort", "mbet", {"use_sort": False}),
     ]
@@ -328,19 +333,12 @@ def exp_f6_ablation(quick: bool = False) -> ExperimentResult:
         "Ablation of MBET's techniques (runtime in seconds)",
         tables=[("Each column disables or pins one technique", headers, rows)],
         notes=["Expected shape: merging and sorting ablations are slower "
-               "than full mbet.  Merging is, consistently.  Sorting no "
-               "longer separates from mbet now that mbet runs the linear "
-               "scan at zoo scale: over three regenerations 'w/o sort' "
-               "took 0.64-1.46x mbet's time, on both sides of it on "
-               "most graphs.",
-               "Honest deviation: 'trie always' (the paper's MBET) is "
-               "SLOWER than 'w/o trie' at zoo scale — the 1/100 "
-               "downscaling shrank traversed sets below the "
-               "trie/linear-scan crossover; R-E4 isolates that crossover "
-               "and shows the full-scale datasets sit beyond it.  The "
-               "default 'mbet' column picks the store per subproblem "
-               "(trie from |Q| >= 2048), so at zoo scale it runs the "
-               "linear scan and tracks 'w/o trie'."],
+               "than full mbet.",
+               "Deviation: 'trie always' (the paper's MBET, every initial "
+               "traversed signature in a prefix tree) is slower than the "
+               "default 'mbet', a linear scan over only the maximal "
+               "initial signatures.  R-T2 counts the steps each store "
+               "takes; R-E4 times the two stores in isolation."],
     )
 
 
@@ -641,16 +639,13 @@ def exp_e3_maximum(quick: bool = False) -> ExperimentResult:
 def exp_e4_trie_crossover(quick: bool = False) -> ExperimentResult:
     """Where the prefix tree beats the linear scan: the |Q| crossover.
 
-    At zoo scale (1/100 of the public datasets) traversed sets are small
-    and CPython's big-int scan wins wall-clock (see R-F6).  The quantity
-    the trie exploits — the traversed-set size, which scales with D₂ —
-    was shrunk by the same factor.  This experiment measures the checking
-    operation in isolation across |Q|, locating the crossover and the
-    asymptotic gap; the public datasets' D₂ (up to ~54k) sit deep in the
-    trie-winning regime.
+    Times the checking operation in isolation across |Q|: a scan of the
+    whole family, a scan of its maximal signatures (the cut timed too),
+    and the prefix tree.
     """
     import random
 
+    from repro.core.mbet import maximal_masks
     from repro.core.prefixtree import PrefixTree
 
     rng = random.Random(7)
@@ -666,6 +661,15 @@ def exp_e4_trie_crossover(quick: bool = False) -> ExperimentResult:
             out.append(m)
         return out
 
+    def scan(masks: list[int], queries: list[int]) -> int:
+        hits = 0
+        for qmask in queries:
+            for m in masks:
+                if m & qmask == qmask:
+                    hits += 1
+                    break
+        return hits
+
     sizes = (100, 1000) if quick else (100, 500, 2000, 8000, 30000)
     n_queries = 500 if quick else 2000
     rows = []
@@ -676,13 +680,12 @@ def exp_e4_trie_crossover(quick: bool = False) -> ExperimentResult:
             for _ in range(n_queries)
         ]
         t0 = time.perf_counter()
-        hits = 0
-        for qmask in queries:
-            for m in stored:
-                if m & qmask == qmask:
-                    hits += 1
-                    break
+        hits = scan(stored, queries)
         t_linear = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        reduced = maximal_masks(stored)
+        hits_reduced = scan(reduced, queries)
+        t_reduced = time.perf_counter() - t0
         tree = PrefixTree()
         t0 = time.perf_counter()
         for m in stored:
@@ -691,11 +694,13 @@ def exp_e4_trie_crossover(quick: bool = False) -> ExperimentResult:
         t0 = time.perf_counter()
         hits_trie = sum(tree.has_superset(qmask) for qmask in queries)
         t_trie = time.perf_counter() - t0
-        assert hits == hits_trie
+        assert hits == hits_trie == hits_reduced
         rows.append(
             [
                 n,
+                len(reduced),
                 f"{t_linear * 1e3:.1f}",
+                f"{t_reduced * 1e3:.1f}",
                 f"{t_trie * 1e3:.1f}",
                 f"{t_build * 1e3:.1f}",
                 f"{t_linear / max(t_trie, 1e-9):.2f}x",
@@ -706,16 +711,19 @@ def exp_e4_trie_crossover(quick: bool = False) -> ExperimentResult:
         "Prefix-tree vs linear-scan crossover in traversed-set size",
         tables=[
             (f"Time for {n_queries} superset checks (ms)",
-             ["|Q|", "linear scan", "trie queries", "trie build",
+             ["|Q|", "reduced |Q|", "linear scan",
+              "reduced scan (with cut)", "trie queries", "trie build",
               "query speedup"], rows)
         ],
         notes=["Expected shape: the trie's query advantage appears once "
                "|Q| reaches the thousands and grows with |Q|; the build "
                "cost amortizes in enumeration because a subproblem's "
                "initial Q persists across its whole subtree.",
-               "Reading: zoo-scale subproblems live left of the crossover "
-               "(hence R-F6's 'w/o trie' column), full-scale datasets "
-               "(D2 up to ~54k) live deep to the right of it."],
+               "Reading: this family is close to an antichain, so the cut "
+               "to maximal signatures removes little and the crossover "
+               "stands.  What decides the default store is where real "
+               "subproblems sit once their traversed sets are cut "
+               "(docs/prefix_tree.md)."],
     )
 
 

@@ -15,6 +15,7 @@ from typing import Any, Callable, Sequence
 
 from repro.bigraph.graph import BipartiteGraph
 from repro.core.base import ALGORITHMS, Biclique, MBEResult
+from repro.core.mbet import MBET, _ListQ
 
 #: Engines the harness exercises by default.  ``bruteforce`` is excluded —
 #: it is the harness's *reference*, consulted separately on small graphs.
@@ -30,16 +31,15 @@ CONSTRAINED_ENGINES: frozenset[str] = frozenset(
 
 #: Option variants sampled per case, exercising ablation flags and the
 #: trie / trie-overflow / slicing paths that plain defaults never reach
-#: (fuzz graphs sit far below the adaptive store's trie threshold, so the
-#: trie runs only where ``use_trie=True`` pins it; the parallel engine
-#: splits roots only with more than one worker).
+#: (``mbet`` builds the trie only where ``use_trie=True`` pins it; the
+#: parallel engine splits roots only with more than one worker).
 ENGINE_VARIANTS: dict[str, tuple[dict[str, Any], ...]] = {
     "mbet": (
         {}, {"use_trie": True}, {"use_trie": False}, {"use_merge": False},
         {"use_sort": False}, {"use_trie": True, "trie_max_nodes": 4},
         {"orient_smaller_v": True},
     ),
-    "mbetm": ({}, {"use_trie": True}, {"use_trie": True, "max_nodes": 8}),
+    "mbetm": ({}, {"use_trie": False}, {"max_nodes": 8}),
     "parallel": (
         {"workers": 2, "bound_height": 1, "bound_size": 1},
         # engine_options as a pair-tuple keeps the spec hashable
@@ -52,6 +52,17 @@ ENGINE_VARIANTS: dict[str, tuple[dict[str, Any], ...]] = {
     ),
     "oombea": ({}, {"order": "random"}),
 }
+
+
+class UnreducedMBET(MBET):
+    """MBET scanning its whole initial traversed set: the harness's
+    reference for the default store's cut to maximal signatures (not in
+    the algorithm registry)."""
+
+    name = "mbet_unreduced"
+
+    def _make_store(self, traversed):
+        return _ListQ(traversed)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from repro.check.engines import (
     CONSTRAINED_ENGINES,
     DEFAULT_ENGINE_NAMES,
     EngineSpec,
+    UnreducedMBET,
     sample_variant,
 )
 from repro.check.oracles import (
@@ -107,8 +108,11 @@ class FuzzReport:
 
 
 def _engine_pool(config: FuzzConfig, rng: random.Random) -> list[EngineSpec]:
-    """Per-case engine specs: sampled option variants, plus the broken one."""
+    """Per-case engine specs: sampled option variants, the unreduced-scan
+    reference, and the broken one."""
     pool = [sample_variant(name, rng) for name in config.engines]
+    if "mbet" in config.engines:
+        pool.append(EngineSpec.make("mbet_unreduced", factory=UnreducedMBET))
     if config.broken_engine:
         from repro.check.selftest import BrokenMBET
 

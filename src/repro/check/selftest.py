@@ -57,11 +57,11 @@ class BrokenMBET(MBET):
         super().__init__(**options)
         self.break_maximality = break_maximality
 
-    def _make_store(self, n_traversed: int):
-        store = super()._make_store(n_traversed)
+    def _make_store(self, traversed):
+        store = super()._make_store(traversed)
         return _BlindStore(store) if self.break_maximality else store
 
-    def _run_subproblem(self, sub, report, stats) -> None:
+    def _run_subproblem(self, sub, report, stats, *slice_args) -> None:
         if self.break_maximality:
             sub = dataclasses.replace(sub, right=[sub.root_v])
-        super()._run_subproblem(sub, report, stats)
+        super()._run_subproblem(sub, report, stats, *slice_args)

@@ -9,12 +9,9 @@ memory bound.  This mirrors the published description of MBETM as the
 variant that sacrifices some throughput to keep space bounded on inputs
 with billions of bicliques.
 
-``use_trie`` is forwarded to :class:`repro.core.mbet.MBET` with the same
-adaptive default: a subproblem whose initial traversed set is small runs
-the linear-scan store, which the search path already bounds — the same
-footprint the overflow list falls back to.  Whenever a trie is built, the
-budget and overflow behaviour are as above; ``use_trie=True`` builds one
-in every subproblem.
+MBETM builds the trie by default (``use_trie=True``): the node budget is
+its reason to exist.  With ``use_trie=False`` it runs MBET's reduced
+linear scan, and the budget goes unused.
 
 The class also exposes :meth:`iter_bicliques`, a generator that yields
 results subtree-by-subtree with timestamps — the progressive-enumeration
@@ -48,7 +45,7 @@ class MBETM(MBET):
         self,
         order: str = "degree",
         max_nodes: int = DEFAULT_BUDGET,
-        use_trie: bool | None = None,
+        use_trie: bool = True,
         use_merge: bool = True,
         use_sort: bool = True,
         orient_smaller_v: bool = False,

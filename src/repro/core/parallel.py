@@ -291,10 +291,7 @@ def _run_task(task: tuple[int, int, int], attempt: int):
         sub = build_subproblem(graph, v, rank)
         if sub is not None and algo._accept_subproblem(sub, stats):
             stats.subtrees += 1
-            if n_parts == 1:
-                algo._run_subproblem(sub, report, stats)
-            else:
-                _run_root_slice(algo, sub, part, n_parts, report, stats)
+            algo._run_subproblem(sub, report, stats, part, n_parts)
     except BudgetExceeded as exc:
         complete, reason = False, exc.reason
     finally:
@@ -302,40 +299,6 @@ def _run_task(task: tuple[int, int, int], attempt: int):
         if shared is not None and unflushed:
             shared.add(unflushed)
     return count, stats.as_dict(), results if collect else None, complete, reason
-
-
-def _run_root_slice(algo: MBET, sub, part: int, n_parts: int, report, stats) -> None:
-    """Run one slice of a subproblem's root loop (see module docstring)."""
-    space = sub.space
-    pairs = [(mask, (w,)) for w, mask in sub.cands]
-    groups = algo._group(pairs, stats)
-    n = len(groups)
-    lo = part * n // n_parts
-    hi = (part + 1) * n // n_parts
-    if part == 0 and len(sub.right) >= algo.min_right:
-        # exactly one slice reports the subtree's root biclique; the
-        # min_right gate mirrors MBET._run_subproblem (min_left is already
-        # enforced by _accept_subproblem on the whole subtree)
-        report(space.universe, sub.right)
-    if lo >= hi:
-        return
-    # Earlier root branches act as already-traversed for this slice; later
-    # groups stay in the pool (they absorb and filter) but do not branch.
-    store = algo._make_store(len(sub.traversed) + lo)
-    for sig in sub.traversed:
-        store.insert(sig)
-    for mask, _verts in groups[:lo]:
-        store.insert(mask)
-    algo._search(
-        tuple(sub.right),
-        groups[lo:],
-        store,
-        space,
-        report,
-        stats,
-        branch_limit=hi - lo,
-    )
-    store.fold_into(stats)
 
 
 @register

@@ -237,10 +237,13 @@ class ResilientExecutor:
                 task, attempt = pending.popleft()
                 try:
                     fut = pool.submit(self.task_fn, task, attempt)
-                except Exception:  # pool already broken: requeue and recycle
+                except Exception:  # pool already broken: requeue, then drain
                     pending.appendleft((task, attempt))
-                    return True
+                    broken = True
+                    break
                 in_flight[fut] = (task, attempt)
+            if broken:
+                break
             window = None
             if self.task_timeout is not None:
                 window = max(

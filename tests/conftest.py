@@ -14,6 +14,8 @@ import random
 import pytest
 
 from repro import BipartiteGraph, Biclique
+from repro.check.engines import UnreducedMBET
+from repro.core.mbet import MBET, _TrieQ
 
 #: All registered exact algorithms that must agree with brute force.
 EXACT_ALGORITHMS = (
@@ -68,3 +70,63 @@ def random_bigraph(
         (u, v) for u in range(n_u) for v in range(n_v) if rng.random() < prob
     ]
     return BipartiteGraph(edges, n_u=n_u, n_v=n_v)
+
+
+class CountingStore:
+    """Traversed-set store proxy that counts queries and |Q| at every
+    query, independently of the store's own counters, and what the store
+    folds into ``checks``.  ``q0`` is the initial set the engine asked to
+    load; ``loaded`` how many signatures the store actually holds for it.
+    """
+
+    def __init__(self, inner, q0):
+        self.inner = inner
+        self.q0 = q0
+        if isinstance(inner, _TrieQ):
+            self.loaded = inner.trie.n_sets + inner.n_overflow
+        else:
+            self.loaded = len(inner.masks)
+        self.size = self.loaded
+        self.queries = 0
+        self.summed_q = 0
+        self.checks = 0
+
+    def insert(self, mask):
+        self.size += 1
+        return self.inner.insert(mask)
+
+    def remove(self, token):
+        self.size -= 1
+        self.inner.remove(token)
+
+    def has_superset(self, query):
+        self.queries += 1
+        self.summed_q += self.size
+        return self.inner.has_superset(query)
+
+    def fold_into(self, stats):
+        before = stats.checks
+        self.inner.fold_into(stats)
+        self.checks = stats.checks - before
+
+
+class _Counting:
+    """Engine mixin wrapping every store it builds in a CountingStore."""
+
+    def __init__(self, **options):
+        super().__init__(**options)
+        self.stores: list[CountingStore] = []
+
+    def _make_store(self, traversed):
+        traversed = list(traversed)
+        store = CountingStore(super()._make_store(traversed), traversed)
+        self.stores.append(store)
+        return store
+
+
+class CountingMBET(_Counting, MBET):
+    pass
+
+
+class CountingUnreducedMBET(_Counting, UnreducedMBET):
+    pass

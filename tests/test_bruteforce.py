@@ -71,9 +71,11 @@ class TestBruteForceGuards:
             BruteForceMBE(orient_smaller_v=False).run(g)
 
     def test_cap_can_be_raised(self):
-        # one vertex past the default cap of 22: it enumerates all 2^23
-        # subsets, so every extra vertex doubles the test's runtime
-        g = BipartiteGraph([(0, v) for v in range(23)])
+        # one vertex past the default cap of 22; the cap reads |V| but only
+        # vertices with an edge are enumerated, so one edge keeps it cheap
+        g = BipartiteGraph([(0, 0)], n_u=1, n_v=23)
+        with pytest.raises(ValueError, match="refuses"):
+            BruteForceMBE(orient_smaller_v=False).run(g)
         result = BruteForceMBE(max_side=23, orient_smaller_v=False).run(
             g, collect=False
         )

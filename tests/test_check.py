@@ -25,7 +25,11 @@ from repro.check import (
     threshold_oracle,
     write_counterexample,
 )
-from repro.check.engines import CONSTRAINED_ENGINES, DEFAULT_ENGINE_NAMES
+from repro.check.engines import (
+    CONSTRAINED_ENGINES,
+    DEFAULT_ENGINE_NAMES,
+    UnreducedMBET,
+)
 from repro.check.selftest import BrokenMBET
 from tests.conftest import make_g0, random_bigraph
 
@@ -176,6 +180,22 @@ class TestShrink:
 
 
 class TestHarness:
+    def test_unreduced_scan_runs_beside_mbet(self):
+        from repro.check import harness
+
+        names = [
+            spec.name for spec in harness._engine_pool(
+                FuzzConfig(max_cases=1), random.Random(0)
+            )
+        ]
+        assert "mbet_unreduced" in names
+        spec = EngineSpec.make("mbet_unreduced", factory=UnreducedMBET)
+        store = spec.build()._make_store([0b01, 0b11, 0b01])
+        assert store.masks == [0b01, 0b11, 0b01]  # duplicates, covered mask
+        assert spec.result_set(make_g0()) == run_mbe(
+            make_g0(), "mbet"
+        ).biclique_set()
+
     def test_clean_run_finds_nothing(self):
         report = run_fuzz(FuzzConfig(seed=3, max_cases=6, max_side=6))
         assert report.ok

@@ -101,7 +101,7 @@ class TestParallelConstrained:
 
     def test_thresholds_with_forced_slicing(self, g0):
         # bound_height/bound_size force per-root slicing (two workers:
-        # one runs roots whole); the min_right gate in _run_root_slice
+        # one runs roots whole); the min_right gate in MBET._run_subproblem
         # must not double- or zero-report roots
         want = run_mbe(g0, "mbet", min_left=2, min_right=2).biclique_set()
         got = run_mbe(

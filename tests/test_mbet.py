@@ -7,10 +7,16 @@ import random
 import pytest
 
 from repro import random_bipartite, run_mbe
-from repro.core import mbet as mbet_module
 from repro.core.base import EnumerationStats
-from repro.core.mbet import MBET, TRIE_MIN_TRAVERSED, _ListQ, _TrieQ
-from tests.conftest import G0_MAXIMAL, nested_chain, random_bigraph
+from repro.core.decompose import iter_subproblems
+from repro.core.mbet import MBET, _ListQ, _TrieQ, maximal_masks
+from tests.conftest import (
+    G0_MAXIMAL,
+    CountingMBET,
+    CountingUnreducedMBET,
+    nested_chain,
+    random_bigraph,
+)
 
 
 class TestFeatureFlags:
@@ -135,7 +141,7 @@ class TestDeepChain:
 class TestMBETConstruction:
     def test_default_flags(self):
         algo = MBET()
-        assert algo.use_trie is None  # adaptive: store chosen per subproblem
+        assert algo.use_trie is False  # the reduced linear scan
         assert algo.use_merge and algo.use_sort
         assert algo.trie_max_nodes is None
 
@@ -143,84 +149,32 @@ class TestMBETConstruction:
         assert MBET.name == "mbet"
 
 
-class _CountingStore:
-    """Store proxy that counts |Q| at every query, independently of the
-    store's own counters, and what the store folds into ``checks``."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.size = 0
-        self.summed_q = 0
-        self.checks = 0
-
-    def insert(self, mask):
-        self.size += 1
-        return self.inner.insert(mask)
-
-    def remove(self, token):
-        self.size -= 1
-        self.inner.remove(token)
-
-    def has_superset(self, query):
-        self.summed_q += self.size
-        return self.inner.has_superset(query)
-
-    def fold_into(self, stats):
-        before = stats.checks
-        self.inner.fold_into(stats)
-        self.checks = stats.checks - before
-
-
-class _CountingMBET(MBET):
-    def __init__(self, **options):
-        super().__init__(**options)
-        self.stores: list[_CountingStore] = []
-
-    def _make_store(self, n_traversed):
-        store = _CountingStore(super()._make_store(n_traversed))
-        self.stores.append(store)
-        return store
-
-
 def _mixed_graph():
     return random_bipartite(30, 18, 0.3, seed=11)
 
 
 class TestAdaptiveStore:
-    def test_threshold_boundary(self):
-        algo = MBET()
-        assert isinstance(algo._make_store(TRIE_MIN_TRAVERSED - 1), _ListQ)
-        assert isinstance(algo._make_store(TRIE_MIN_TRAVERSED), _TrieQ)
+    """The store choice: the reduced scan by default, the trie pinned."""
 
     def test_pinned_stores_ignore_the_threshold(self):
-        assert isinstance(MBET(use_trie=True)._make_store(0), _TrieQ)
-        assert isinstance(
-            MBET(use_trie=False)._make_store(10 * TRIE_MIN_TRAVERSED), _ListQ
-        )
+        # no Q0 size switches the store
+        q0 = [0b11, 0b01] * 2500
+        assert isinstance(MBET(use_trie=True)._make_store([]), _TrieQ)
+        assert isinstance(MBET()._make_store(q0), _ListQ)
+        assert isinstance(MBET(use_trie=False)._make_store(q0), _ListQ)
+        # an options dict written before the scan became the default
+        assert MBET(use_trie=None).use_trie is False
 
     @pytest.mark.parametrize("engine", ["mbet", "mbetm"])
-    def test_mixed_stores_stay_exact(self, monkeypatch, engine):
+    def test_mixed_stores_stay_exact(self, engine):
         g = _mixed_graph()
         truth = run_mbe(g, "bruteforce").biclique_set()
-        pinned = [
-            run_mbe(g, engine, use_trie=flag).biclique_set()
-            for flag in (True, False)
-        ]
-        assert pinned == [truth, truth]
-        monkeypatch.setattr(mbet_module, "TRIE_MIN_TRAVERSED", 6)
-        assert run_mbe(g, engine).biclique_set() == truth
-
-    def test_low_threshold_mixes_stores_in_one_run(self, monkeypatch):
-        monkeypatch.setattr(mbet_module, "TRIE_MIN_TRAVERSED", 6)
-        algo = _CountingMBET()
-        algo.run(_mixed_graph(), collect=False)
-        assert {type(s.inner) for s in algo.stores} == {_ListQ, _TrieQ}
+        for flag in (True, False, None):
+            assert run_mbe(g, engine, use_trie=flag).biclique_set() == truth
 
     @pytest.mark.parametrize("use_trie", [True, False, None])
-    def test_checks_plus_pruned_is_summed_q(self, monkeypatch, use_trie):
-        # under None the low threshold makes one run mix both stores
-        monkeypatch.setattr(mbet_module, "TRIE_MIN_TRAVERSED", 6)
-        algo = _CountingMBET(use_trie=use_trie)
+    def test_checks_plus_pruned_is_summed_q(self, use_trie):
+        algo = CountingMBET(use_trie=use_trie)
         stats = algo.run(_mixed_graph(), collect=False).stats
         summed_q = sum(s.summed_q for s in algo.stores)
         # a trie store whose descents visited more nodes than a scan
@@ -229,19 +183,26 @@ class TestAdaptiveStore:
         assert summed_q > 0
         assert stats.checks == sum(s.checks for s in algo.stores)
         assert stats.checks + stats.trie_pruned == summed_q + overshoot
-        if use_trie is False:
-            assert stats.checks == summed_q and stats.trie_pruned == 0
-        if use_trie is not False:
+        if use_trie:
             assert stats.trie_pruned > 0
+        else:
+            assert stats.checks == summed_q and stats.trie_pruned == 0
 
     def test_summed_q_is_store_independent(self):
-        # the search is the same whichever store answers it
-        totals = set()
-        for flag in (True, False, None):
-            algo = _CountingMBET(use_trie=flag)
+        # the search asks the same queries whichever store answers them;
+        # every store that loads the whole Q0 holds the same |Q| at each,
+        # and the reduced scan holds fewer
+        runs = [
+            CountingMBET(use_trie=True), CountingUnreducedMBET(), CountingMBET()
+        ]
+        for algo in runs:
             algo.run(_mixed_graph(), collect=False)
-            totals.add(sum(s.summed_q for s in algo.stores))
-        assert len(totals) == 1
+        queries = {sum(s.queries for s in algo.stores) for algo in runs}
+        trie, unreduced, reduced = (
+            sum(s.summed_q for s in algo.stores) for algo in runs
+        )
+        assert len(queries) == 1
+        assert trie == unreduced > reduced > 0
 
     def test_trie_fold_counts_node_visits(self):
         store = _TrieQ(max_nodes=None)
@@ -252,3 +213,65 @@ class TestAdaptiveStore:
         store.fold_into(stats)
         assert stats.checks == store.trie.node_visits
         assert stats.checks + stats.trie_pruned == max(stats.checks, 3)
+
+
+def _assert_reduced(loaded, q0):
+    """``loaded`` is an antichain of distinct Q0 masks covering all of Q0."""
+    assert len(set(loaded)) == len(loaded)
+    assert set(loaded) <= set(q0)
+    for a in loaded:
+        assert not any(b != a and b & a == a for b in loaded)
+    for mask in q0:
+        assert any(k & mask == mask for k in loaded)
+
+
+class TestReducedStore:
+    def test_maximal_masks_is_a_covering_antichain(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            masks = [rng.getrandbits(6) for _ in range(rng.randint(0, 30))]
+            _assert_reduced(maximal_masks(masks), masks)
+
+    def test_maximal_masks_are_widest_first(self):
+        kept = maximal_masks([0b0001, 0b0111, 0b1000, 0b0011, 0b0111])
+        assert kept == [0b0111, 0b1000]
+
+    def test_whole_root_store_holds_reduced_q0(self):
+        g = _mixed_graph()
+        for use_trie in (False, True):
+            algo = CountingMBET(use_trie=use_trie)
+            subs = list(iter_subproblems(g, algo.order))
+            for sub in subs:
+                algo._run_subproblem(sub, lambda *_: None, EnumerationStats())
+            assert len(algo.stores) == len(subs)
+            assert any(len(set(s.q0)) < len(s.q0) for s in algo.stores)
+            for sub, store in zip(subs, algo.stores):
+                assert store.q0 == sub.traversed
+                if use_trie:
+                    # the paper's MBET keeps the whole Q0, duplicates too
+                    assert store.loaded == len(sub.traversed)
+                else:
+                    _assert_reduced(store.inner.masks, sub.traversed)
+
+    def test_sliced_root_store_holds_reduced_q0_and_earlier_groups(self):
+        g = _mixed_graph()
+        algo = CountingMBET()
+        n_parts, sliced = 3, 0
+        for sub in iter_subproblems(g, algo.order):
+            groups = algo._group(
+                [(mask, (w,)) for w, mask in sub.cands], EnumerationStats()
+            )
+            for part in range(n_parts):
+                before = len(algo.stores)
+                algo._run_subproblem(
+                    sub, lambda *_: None, EnumerationStats(), part, n_parts
+                )
+                if len(algo.stores) == before:
+                    continue  # an empty slice builds no store
+                lo = part * len(groups) // n_parts
+                q0 = sub.traversed + [mask for mask, _ in groups[:lo]]
+                store = algo.stores[-1]
+                assert store.q0 == q0
+                _assert_reduced(store.inner.masks, q0)
+                sliced += lo > 0
+        assert sliced > 0

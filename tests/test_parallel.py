@@ -7,9 +7,17 @@ import random
 import pytest
 
 from repro import run_mbe
+from repro.bigraph.ordering import rank_of, vertex_order
+from repro.core.base import EnumerationStats
+from repro.core.decompose import build_subproblem
 from repro.core.parallel import ParallelMBE
 from repro.datasets import load
-from tests.conftest import G0_MAXIMAL, nested_chain, random_bigraph
+from tests.conftest import (
+    G0_MAXIMAL,
+    CountingMBET,
+    nested_chain,
+    random_bigraph,
+)
 
 
 class TestConstruction:
@@ -121,19 +129,26 @@ class TestAgreement:
     def test_sliced_roots_use_the_engine_store(self):
         # bound_size=1 slices every splittable root (with two workers;
         # one runs roots whole); sliced roots build their store through
-        # the engine, so the linear-scan pin holds and their checks are
-        # folded exactly as the serial run's are
+        # the engine, so the linear-scan default holds and the workers
+        # fold their checks exactly: the summed |Q| over each store as
+        # loaded, which an in-process rerun of every task counts
         g = load("mti")
         options = {"workers": 2, "bound_height": 1, "bound_size": 1,
                    "collect": False}
-        sliced = ParallelMBE(bound_height=1, bound_size=1)._make_tasks(g)
-        assert len(sliced) > len(ParallelMBE()._make_tasks(g))
-        scan = run_mbe(g, "parallel", engine_options={"use_trie": False},
-                       **options)
-        serial = run_mbe(g, "mbet", use_trie=False, collect=False)
+        tasks = ParallelMBE(bound_height=1, bound_size=1)._make_tasks(g)
+        assert len(tasks) > len(ParallelMBE()._make_tasks(g))
+        scan = run_mbe(g, "parallel", **options)
+        serial = run_mbe(g, "mbet", collect=False)
         assert scan.count == serial.count
         assert scan.stats.trie_peak_nodes == 0
-        assert scan.stats.checks == serial.stats.checks
+        algo = CountingMBET()
+        rank = rank_of(vertex_order(g, algo.order))
+        for v, part, n_parts in tasks:
+            sub = build_subproblem(g, v, rank)
+            if sub is not None:
+                algo._run_subproblem(sub, lambda *_: None, EnumerationStats(),
+                                     part, n_parts)
+        assert scan.stats.checks == sum(s.summed_q for s in algo.stores) > 0
         trie = run_mbe(g, "parallel", engine_options={"use_trie": True},
                        **options)
         assert trie.count == serial.count

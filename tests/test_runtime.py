@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import time
+from concurrent.futures import BrokenExecutor, Executor, Future
 
 import pytest
 
@@ -402,3 +403,41 @@ class TestResilientExecutor:
         report = ex.run_serial([(1, 0, 1), (2, 0, 1), (3, 0, 1)])
         assert report.stopped == "cancelled"
         assert len(done) == 1
+
+    @pytest.mark.parametrize("beat_crash", [True, False])
+    def test_submit_on_broken_pool_keeps_in_flight_tasks(self, beat_crash):
+        # The first pool breaks on its second submit while the first task
+        # is still in flight: that task's result (if it beat the crash)
+        # is consumed, or else its failure is recorded and retried —
+        # never dropped.  Later pools run every task.
+        pools = []
+
+        class BreakingPool(Executor):
+            def __init__(self):
+                self.breaks = not pools
+                self.futures = []
+                pools.append(self)
+
+            def submit(self, fn, *args):
+                if self.breaks and self.futures:
+                    for fut in self.futures:
+                        if not fut.done():
+                            fut.set_exception(BrokenExecutor("worker died"))
+                    raise BrokenExecutor("pool is broken")
+                fut = Future()
+                if beat_crash or not self.breaks:
+                    fut.set_result(fn(*args))
+                self.futures.append(fut)
+                return fut
+
+        results = []
+        ex = ResilientExecutor(
+            task_fn=lambda task, attempt: task[0],
+            pool_factory=BreakingPool,
+            **self._executor(results),
+        )
+        report = ex.run([(1, 0, 1), (2, 0, 1)])
+        assert report.completed == 2 and not report.failures
+        assert sorted(outcome for _, outcome in results) == [1, 2]
+        assert report.retries == (0 if beat_crash else 1)
+        assert report.pool_restarts == 1
