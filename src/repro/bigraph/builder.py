@@ -17,18 +17,12 @@ class GraphBuilder:
 
     def __init__(self) -> None:
         self._edges: set[tuple[int, int]] = set()
-        self._max_u = -1
-        self._max_v = -1
 
     def add_edge(self, u: int, v: int) -> "GraphBuilder":
         """Record edge ``(u, v)``; duplicates are silently merged."""
         if u < 0 or v < 0:
             raise ValueError("vertex ids must be non-negative")
         self._edges.add((u, v))
-        if u > self._max_u:
-            self._max_u = u
-        if v > self._max_v:
-            self._max_v = v
         return self
 
     def add_edges(self, edges: Iterable[tuple[int, int]]) -> "GraphBuilder":

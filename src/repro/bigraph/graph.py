@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from repro.setops.sorted_ops import union_many
-
 
 class BipartiteGraph:
     """An undirected bipartite graph ``G = (U, V, E)`` with sorted adjacency.
@@ -137,26 +135,13 @@ class BipartiteGraph:
 
     def two_hop_v(self, v: int) -> list[int]:
         """Return ``N₂(v)``: all v' ≠ v sharing at least one neighbour with v."""
-        out = union_many(self._adj_u[u] for u in self._adj_v[v])
-        # union_many returns a sorted list; drop v itself if present.
-        if out:
-            from bisect import bisect_left
-
-            i = bisect_left(out, v)
-            if i < len(out) and out[i] == v:
-                out.pop(i)
-        return out
+        adj_u = self._adj_u
+        return sorted(set().union(*[adj_u[u] for u in self._adj_v[v]]) - {v})
 
     def two_hop_u(self, u: int) -> list[int]:
         """Return ``N₂(u)``: all u' ≠ u sharing at least one neighbour with u."""
-        out = union_many(self._adj_v[v] for v in self._adj_u[u])
-        if out:
-            from bisect import bisect_left
-
-            i = bisect_left(out, u)
-            if i < len(out) and out[i] == u:
-                out.pop(i)
-        return out
+        adj_v = self._adj_v
+        return sorted(set().union(*[adj_v[v] for v in self._adj_u[u]]) - {u})
 
     def common_neighbors_of_vs(self, vs: Sequence[int]) -> list[int]:
         """Return ``C(vs) = ∩_{v∈vs} N(v) ⊆ U`` (sorted).

@@ -140,10 +140,6 @@ class CostModel:
             n_cores = os.cpu_count() or 1
         self.n_cores = max(1, int(n_cores))
 
-    def calibrated_engines(self) -> list[str]:
-        """Engines with fitted (non-seed) coefficients, sorted."""
-        return sorted(self.coefficients)
-
     def predict_seconds(self, engine: str, features: PlanFeatures) -> float:
         """Predicted wall-clock seconds for ``engine`` on ``features``."""
         if engine == "parallel":

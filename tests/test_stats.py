@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro import BipartiteGraph, compute_stats
+import random
+
+from repro import BipartiteGraph, compute_stats, random_bipartite
 from repro.bigraph.stats import (
     max_degree_u,
     max_degree_v,
@@ -33,6 +35,18 @@ class TestDegreeStats:
         st = compute_stats(g)
         assert st.max_degree_u == 1
         assert st.max_two_hop_u == 0  # nobody shares a neighbour
+
+    def test_two_hop_maxima_match_every_vertex_scan(self):
+        # the wedge bound stops the scan early; it must never stop it
+        # before the true maximum
+        rng = random.Random(3)
+        for _ in range(300):
+            n_u, n_v, p = rng.randint(1, 15), rng.randint(1, 15), rng.random()
+            g = random_bipartite(n_u, n_v, p, seed=rng.randrange(10**6))
+            assert max_two_hop_u(g) == max(
+                len(g.two_hop_u(u)) for u in range(g.n_u))
+            assert max_two_hop_v(g) == max(
+                len(g.two_hop_v(v)) for v in range(g.n_v))
 
 
 class TestComputeStats:
