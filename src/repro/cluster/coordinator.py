@@ -26,6 +26,10 @@ One :class:`ClusterCoordinator` drives one federated enumeration job:
    deliveries (reassigned slices whose first owner was merely slow,
    parents racing their re-split children) are discarded.  The merged
    set over a complete coverage equals single-node enumeration exactly.
+   A slice result travels as the result-file bytes its worker wrote
+   (:mod:`repro.core.io_results`): the coordinator checks their line
+   count against the worker's summary, spools them with one write, and
+   parses them once, at the end, only when ``collect`` is set.
 """
 
 from __future__ import annotations
@@ -39,12 +43,14 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any
 
 from repro.bigraph.graph import BipartiteGraph
 from repro.bigraph.io import read_edge_list
+from repro.chaos import fs as chaos_fs
 from repro.core.base import Biclique
-from repro.core.io_results import BicliqueWriter, read_bicliques
+from repro.core.io_results import parse_bicliques
 from repro.cluster.client import WorkerClient, WorkerUnreachable
 from repro.plan import (
     recommend_slices,
@@ -148,6 +154,13 @@ class _WorkerState:
     inflight: set[str] = field(default_factory=set)
 
 
+def _whole_lines(data: bytes, count: Any) -> bool:
+    """True when ``data`` is exactly ``count`` newline-terminated lines."""
+    return data.count(b"\n") == count and (
+        not data or data.endswith(b"\n")
+    )
+
+
 class ClusterError(RuntimeError):
     """Unrecoverable coordinator-side condition (bad plan, bad resume)."""
 
@@ -178,7 +191,8 @@ class ClusterCoordinator:
             for url in config.workers
         }
         self._coverage: RangeCoverage | None = None
-        self._results: list[Biclique] = []
+        #: accepted slice results as result-file bytes (``collect`` only)
+        self._chunks: list[bytes] = []
         self._count = 0
         self._durations: list[float] = []
         #: straggler threshold resolved at plan time ("auto" → derived
@@ -191,7 +205,8 @@ class ClusterCoordinator:
         """Coordinator id, persisted so restarts keep their identity."""
         path = os.path.join(self.config.state_dir, "coordinator.id")
         if os.path.exists(path):
-            text = open(path, encoding="utf-8").read().strip()
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read().strip()
             if text:
                 return text
         cid = "c-" + uuid.uuid4().hex[:12]
@@ -311,7 +326,7 @@ class ClusterCoordinator:
         return fingerprint, n_roots
 
     def _spool_path(self, slice_id: str) -> str:
-        return os.path.join(self.slices_dir, f"{slice_id}.jsonl")
+        return os.path.join(self.slices_dir, f"{slice_id}.tsv")
 
     def _replay_events(self) -> None:
         """Re-apply journaled slice events after a coordinator restart."""
@@ -347,12 +362,14 @@ class ClusterCoordinator:
                     state.status = "inflight"
             elif event == "completed":
                 spool = ev.get("spool") or self._spool_path(slice_id)
+                data = self._read_spool(
+                    spool, ev.get("count", 0), ev.get("bytes")
+                )
+                if data is None:
+                    state.status = "pending"  # spool gone or damaged
+                    continue
                 accepted = self._accept_result(
-                    state,
-                    bicliques=None,
-                    spool=spool,
-                    count=ev.get("count", 0),
-                    journaled=True,
+                    state, data, ev.get("count", 0), journaled=True
                 )
                 if accepted:
                     resumed += 1
@@ -401,33 +418,38 @@ class ClusterCoordinator:
                 flush=True,
             )
 
+    @staticmethod
+    def _read_spool(
+        spool: str, count: int, nbytes: int | None
+    ) -> bytes | None:
+        """A journaled slice's spooled bytes, or None when the spool is
+        missing, not ``nbytes`` long, or not ``count`` whole lines."""
+        try:
+            if nbytes is not None and os.path.getsize(spool) != nbytes:
+                return None
+            with open(spool, "rb") as handle:
+                data = handle.read()
+        except OSError:
+            return None
+        return data if _whole_lines(data, count) else None
+
     def _accept_result(
         self,
         state: _SliceState,
-        bicliques: list[Biclique] | None,
-        spool: str | None = None,
-        count: int = 0,
+        data: bytes,
+        count: int,
         journaled: bool = False,
         elapsed: float | None = None,
     ) -> bool:
         """Run one slice result through the exactly-once merge.
 
-        Live results pass ``bicliques``; journal replay passes ``spool``
-        (the results persisted before the ``completed`` record was
-        written).  Returns True when the range was accepted.
+        ``data`` is the slice's result-file bytes, ``count`` whole
+        lines: fetched live from the worker, or read back from the spool
+        a journaled ``completed`` record names (``journaled=True``).
+        Returns True when the range was accepted.
         """
         assert self._coverage is not None
         spec = state.spec
-        if bicliques is None:
-            if spool is None or not os.path.exists(spool):
-                state.status = "pending"  # journal said done, spool gone
-                return False
-            bicliques = list(
-                read_bicliques(spool, tolerate_torn_tail=True)
-            )
-            if len(bicliques) != count:
-                state.status = "pending"  # damaged spool: re-run slice
-                return False
         if not self._coverage.add(spec.lo, spec.hi):
             state.status = "discarded"
             self._slice_event("discarded")
@@ -441,20 +463,23 @@ class ClusterCoordinator:
                 )
             return False
         state.status = "completed"
-        self._count += len(bicliques)
+        self._count += count
         if self.config.collect:
-            self._results.extend(bicliques)
+            self._chunks.append(data)
         if elapsed is not None:
             self._durations.append(elapsed)
         self._slice_event("completed")
         self.registry.counter(
             "cluster_merge_bicliques_total", "bicliques accepted into the merge"
-        ).inc(len(bicliques))
+        ).inc(count)
         if not journaled:
             spool = self._spool_path(spec.slice_id)
             try:
-                with BicliqueWriter(spool) as writer:
-                    writer.write_all(bicliques)
+                # one write, one flush: a torn spool is shorter than the
+                # byte length journaled below, which replay checks
+                with chaos_fs.open(spool, "wb") as handle:
+                    handle.write(data)
+                    handle.flush()
             except OSError as exc:
                 # the merge (RAM) already holds the result, so this run
                 # stays correct; but a partial spool must not back a
@@ -473,7 +498,7 @@ class ClusterCoordinator:
                 return True
             self.journal.record_slice(
                 "completed", spec.slice_id,
-                lo=spec.lo, hi=spec.hi, count=len(bicliques),
+                lo=spec.lo, hi=spec.hi, count=count, bytes=len(data),
                 spool=spool, worker=state.worker,
                 elapsed=round(elapsed or 0.0, 6),
             )
@@ -717,74 +742,104 @@ class ClusterCoordinator:
 
     def _poll_inflight(self) -> None:
         for state in list(self._slices.values()):
-            if state.status != "inflight":
-                continue
-            worker = self._workers.get(state.worker or "")
-            if worker is None:
-                state.status = "pending"
-                continue
-            try:
-                status, body = worker.client.job_status(state.job_id)
-            except WorkerUnreachable as exc:
-                if exc.refused:
-                    self._mark_dead(worker, exc.why)
-                continue  # silent worker: heartbeats arbitrate
-            worker.last_ok = time.monotonic()
-            if status == 404:
-                # worker lost its state (wiped state dir): redo the slice
-                worker.inflight.discard(state.spec.slice_id)
-                if state.attempts > self.config.max_slice_retries:
-                    self._exhaust_slice(state, "job vanished on worker")
-                    continue
-                state.status = "pending"
-                state.not_before = self._backoff_gate(state.attempts)
-                self._slice_event("lost")
-                self.journal.record_slice(
-                    "lost", state.spec.slice_id, worker=worker.url,
-                    why="job vanished on worker",
-                )
-                continue
-            if status != 200:
-                continue
-            job_state = body.get("state")
-            if job_state in _IN_FLIGHT_STATES:
-                continue
-            if job_state != "done":
-                self._slice_failed(
-                    state,
-                    f"worker job {job_state}: {body.get('error') or ''}",
-                )
-                continue
-            summary = body.get("summary") or {}
-            if not summary.get("complete", False):
-                self._slice_failed(
-                    state,
-                    f"worker returned an incomplete slice "
-                    f"(stopped: {summary.get('stopped')!r})",
-                )
-                continue
-            try:
-                status, result = worker.client.job_result(state.job_id)
-            except WorkerUnreachable as exc:
-                if exc.refused:
-                    self._mark_dead(worker, exc.why)
-                continue
-            if status != 200 or "bicliques" not in result:
-                self._slice_failed(
-                    state,
-                    f"result fetch failed ({status}, "
-                    f"available={result.get('results_available')})",
-                )
-                continue
+            if state.status == "inflight":
+                self._poll_slice(state)
+
+    def _await_inflight(self, timeout: float) -> None:
+        """Block up to ``timeout`` on one in-flight slice's worker job.
+
+        The worker holds the status reply until that job ends, so a
+        finished slice is merged at once instead of after a poll sleep.
+        Sleeps out the rest of ``timeout`` when nothing ended (no slice
+        in flight, a transport error, a worker that answers at once), so
+        no iteration of :meth:`run`'s loop spins.
+        """
+        t0 = time.monotonic()
+        inflight = [
+            s for s in self._slices.values() if s.status == "inflight"
+        ]
+        if inflight and self._poll_slice(
+            min(inflight, key=lambda s: s.dispatched_at), wait=timeout
+        ):
+            return
+        rest = timeout - (time.monotonic() - t0)
+        if rest > 0:
+            time.sleep(rest)
+
+    def _poll_slice(self, state: _SliceState, wait: float = 0.0) -> bool:
+        """Poll one in-flight slice's worker job, merging it when done.
+
+        Returns True when the slice left the in-flight state.
+        """
+        worker = self._workers.get(state.worker or "")
+        if worker is None:
+            state.status = "pending"
+            return True
+        try:
+            status, body = worker.client.job_status(state.job_id, wait)
+        except WorkerUnreachable as exc:
+            if exc.refused:
+                self._mark_dead(worker, exc.why)
+            return False  # silent worker: heartbeats arbitrate
+        worker.last_ok = time.monotonic()
+        if status == 404:
+            # worker lost its state (wiped state dir): redo the slice
             worker.inflight.discard(state.spec.slice_id)
-            bicliques = [
-                Biclique.make(left, right)
-                for left, right in result["bicliques"]
-            ]
-            self._accept_result(
-                state, bicliques,
-                elapsed=time.monotonic() - state.dispatched_at,
+            if state.attempts > self.config.max_slice_retries:
+                self._exhaust_slice(state, "job vanished on worker")
+                return True
+            state.status = "pending"
+            state.not_before = self._backoff_gate(state.attempts)
+            self._slice_event("lost")
+            self.journal.record_slice(
+                "lost", state.spec.slice_id, worker=worker.url,
+                why="job vanished on worker",
             )
+            return True
+        if status != 200:
+            return False
+        job_state = body.get("state")
+        if job_state in _IN_FLIGHT_STATES:
+            return False
+        if job_state != "done":
+            self._slice_failed(
+                state,
+                f"worker job {job_state}: {body.get('error') or ''}",
+            )
+            return True
+        summary = body.get("summary") or {}
+        if not summary.get("complete", False):
+            self._slice_failed(
+                state,
+                f"worker returned an incomplete slice "
+                f"(stopped: {summary.get('stopped')!r})",
+            )
+            return True
+        try:
+            status, data = worker.client.job_result_tsv(state.job_id)
+        except WorkerUnreachable as exc:
+            if exc.refused:
+                self._mark_dead(worker, exc.why)
+            return False
+        if status != 200 or not isinstance(data, bytes):
+            why = data.get("error") if isinstance(data, dict) else None
+            self._slice_failed(state, f"result fetch failed ({status}: {why})")
+            return True
+        count = summary.get("count")
+        if not _whole_lines(data, count):
+            # a short or torn reply must not merge: retry the slice
+            lines = data.count(b"\n")
+            self._slice_failed(
+                state,
+                f"result holds {lines} lines, worker summary says {count}",
+            )
+            return True
+        worker.inflight.discard(state.spec.slice_id)
+        self._accept_result(
+            state, data, count,
+            elapsed=time.monotonic() - state.dispatched_at,
+        )
+        return True
 
     def _check_stragglers(self) -> None:
         cfg = self.config
@@ -883,7 +938,7 @@ class ClusterCoordinator:
             if not live:
                 stopped = "slices_exhausted"
                 break
-            time.sleep(cfg.poll_interval)
+            self._await_inflight(cfg.poll_interval)
 
         complete = self._coverage.complete
         if stopped == "cancelled":
@@ -938,11 +993,18 @@ class ClusterCoordinator:
             self.journal.record_terminal(
                 "failed", count=self._count, why=stopped
             )
+        bicliques = None
+        if cfg.collect:
+            bicliques = []
+            for chunk in self._chunks:
+                bicliques.extend(parse_bicliques(chunk.decode("utf-8")))
+            # the dataclass order, without its per-comparison call
+            bicliques.sort(key=attrgetter("left", "right"))
         return ClusterResult(
             count=self._count,
             complete=complete,
             elapsed=elapsed,
-            bicliques=sorted(self._results) if cfg.collect else None,
+            bicliques=bicliques,
             meta=meta,
         )
 

@@ -11,13 +11,19 @@ Record shapes::
      "n_roots": N, "slices": [SliceSpec.as_dict(), ...], "t": ...}
     {"type": "slice", "event": "dispatched" | "completed" | "lost" |
      "failed" | "resplit" | "discarded", "slice_id": ..., "t": ..., ...}
+    {"type": "slice", "event": "completed", "slice_id": ..., "lo": ...,
+     "hi": ..., "count": N, "bytes": B, "spool": path, ...}
     {"type": "cluster", "event": "done" | "interrupted" | "failed",
      "count": ..., "t": ...}
 
 Replay order matters: a restarted coordinator re-applies ``completed``
 events through the same :class:`~repro.cluster.slices.RangeCoverage`
 arbiter that accepted them live, so the resumed merge state is exactly
-the pre-crash one (duplicates discarded then stay discarded now).
+the pre-crash one (duplicates discarded then stay discarded now).  A
+``completed`` record is written only after its spool (the slice's
+result-file lines, ``count`` lines in ``bytes`` bytes) is flushed, and
+replay trusts it only when the spool still has that size and line
+count; otherwise the slice runs again.
 """
 
 from __future__ import annotations

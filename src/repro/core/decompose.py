@@ -45,19 +45,6 @@ class Subproblem:
     cands: list[tuple[int, int]]
     traversed: list[int]
 
-    @property
-    def height_bound(self) -> int:
-        """Upper bound on subtree height: ``min(|L₀|, |cands|)``."""
-        return min(len(self.space), len(self.cands))
-
-    @property
-    def size_estimate(self) -> int:
-        """Crude node-count estimate ``min(|L₀|,|cands|) * |cands|``.
-
-        The load-aware scheduler compares this against its split threshold.
-        """
-        return self.height_bound * len(self.cands)
-
 
 def build_subproblem(
     graph: BipartiteGraph, v: int, rank: list[int]

@@ -3,7 +3,12 @@
 Format: one biclique per line, left ids comma-separated, a tab, right ids
 comma-separated — the same format ``repro-mbe run -o`` writes, so saved
 results round-trip through :func:`read_bicliques` and can be audited later
-with ``repro-mbe verify``.
+with ``repro-mbe verify``.  The same bytes are a federated slice's result:
+a worker serves them (``GET /jobs/<id>/result`` with ``{"format": "tsv"}``)
+and the coordinator spools them unchanged.
+
+:func:`biclique_line` is the one encoder and :func:`parse_bicliques` the
+one parser; every writer and reader below goes through them.
 
 :class:`BicliqueWriter` is the streaming face of the same format: one
 line per :meth:`~BicliqueWriter.write`, flushed immediately, so a
@@ -15,10 +20,58 @@ memory watchdog spools through it when a job outgrows RAM.
 from __future__ import annotations
 
 import os
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 from repro.chaos import fs as chaos_fs
 from repro.core.base import Biclique
+
+
+def biclique_line(left: Sequence[int], right: Sequence[int]) -> str:
+    """One result line, ``u1,u2<TAB>v1,v2\\n`` (the format's encoder)."""
+    return ",".join(map(str, left)) + "\t" + ",".join(map(str, right)) + "\n"
+
+
+def parse_bicliques(
+    text: str, source: str = "<bytes>", tolerate_torn_tail: bool = False
+) -> list[Biclique]:
+    """Parse result lines into canonical bicliques (the format's parser).
+
+    Blank lines and ``#`` comments are skipped; any other malformed line
+    raises ``ValueError`` with ``source:line`` context.
+    ``tolerate_torn_tail=True`` drops a malformed *final* line instead —
+    the signature a kill mid-:meth:`BicliqueWriter.write` leaves behind.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    last_lineno = len(lines)
+    out: list[Biclique] = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ValueError(
+                    f"{source}:{lineno}: expected 'left<TAB>right', "
+                    f"got {line!r}"
+                )
+            try:
+                left = [int(x) for x in parts[0].split(",") if x]
+                right = [int(x) for x in parts[1].split(",") if x]
+            except ValueError as exc:
+                raise ValueError(
+                    f"{source}:{lineno}: non-integer vertex id"
+                ) from exc
+            if not left or not right:
+                raise ValueError(f"{source}:{lineno}: empty biclique side")
+        except ValueError:
+            if tolerate_torn_tail and lineno == last_lineno:
+                break
+            raise
+        out.append(Biclique.make(left, right))
+    return out
 
 
 class BicliqueWriter:
@@ -38,9 +91,7 @@ class BicliqueWriter:
 
     def write(self, b: Biclique) -> None:
         assert self._handle is not None, "writer is closed"
-        line = (
-            ",".join(map(str, b.left)) + "\t" + ",".join(map(str, b.right)) + "\n"
-        )
+        line = biclique_line(b.left, b.right)
         pos = self._handle.tell()
         try:
             self._handle.write(line)
@@ -85,9 +136,7 @@ def write_bicliques(
     count = 0
     with open(os.fspath(path), "w", encoding="utf-8") as handle:
         for b in bicliques:
-            left = ",".join(map(str, b.left))
-            right = ",".join(map(str, b.right))
-            handle.write(f"{left}\t{right}\n")
+            handle.write(biclique_line(b.left, b.right))
             count += 1
     return count
 
@@ -97,37 +146,10 @@ def read_bicliques(
 ) -> list[Biclique]:
     """Read a biclique file written by :func:`write_bicliques`.
 
-    ``tolerate_torn_tail=True`` drops a malformed *final* line instead of
-    raising — the signature a kill mid-:meth:`BicliqueWriter.write`
-    leaves behind.  Malformed lines anywhere else always raise.
+    See :func:`parse_bicliques` for what is skipped, what raises, and
+    ``tolerate_torn_tail``.
     """
-    out: list[Biclique] = []
     path = os.fspath(path)
     with open(path, encoding="utf-8") as handle:
-        lines = handle.readlines()
-    last_lineno = len(lines)
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'left<TAB>right', got {line!r}"
-                )
-            try:
-                left = [int(x) for x in parts[0].split(",") if x]
-                right = [int(x) for x in parts[1].split(",") if x]
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: non-integer vertex id"
-                ) from exc
-            if not left or not right:
-                raise ValueError(f"{path}:{lineno}: empty biclique side")
-        except ValueError:
-            if tolerate_torn_tail and lineno == last_lineno:
-                break
-            raise
-        out.append(Biclique.make(left, right))
-    return out
+        text = handle.read()
+    return parse_bicliques(text, path, tolerate_torn_tail)

@@ -393,7 +393,13 @@ FINE_SLICING_ROUND_TRIPS = 40
 def fine_slicing_min_wedges(poll_interval: float = 0.05) -> int:
     """Total root cost from which a federated job is cut finer than one
     slice per worker, for a coordinator polling every ``poll_interval``
-    seconds (the default is :class:`~repro.cluster.ClusterConfig`'s)."""
+    seconds (the default is :class:`~repro.cluster.ClusterConfig`'s).
+
+    The constants were measured while the coordinator slept
+    ``poll_interval`` between polls.  It now waits on an in-flight slice
+    and merges it when the job ends, so charging the full poll per round
+    trip over-estimates it; the formula stands until a workload above
+    the switch re-measures it (docs/planning.md)."""
     round_trip = poll_interval + SLICE_REQUEST_SECONDS
     return round(FINE_SLICING_ROUND_TRIPS * round_trip / SECONDS_PER_WEDGE)
 

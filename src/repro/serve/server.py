@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import os
 import re
 import signal
@@ -35,7 +36,7 @@ from repro import datasets
 from repro.artifacts import ArtifactStore, kinds
 from repro.bigraph.graph import BipartiteGraph
 from repro.core.base import ALGORITHMS, Biclique, run_mbe
-from repro.core.io_results import read_bicliques
+from repro.core.io_results import biclique_line, read_bicliques
 from repro.obs.metrics import MetricRegistry
 from repro.obs.sinks import prometheus_text
 from repro.plan import PLANNER_ENGINES, Plan, build_plan
@@ -70,6 +71,14 @@ _PARALLEL_LOCK = threading.Lock()
 #: immutable and shared freely across threads).
 GRAPH_CACHE_SLOTS = 8
 
+#: Longest a ``GET /jobs/<id>`` may be held waiting for the job to end;
+#: a longer requested ``wait`` is cut to this.
+MAX_STATUS_WAIT_S = 10.0
+
+#: Media type of a result served as result-file lines
+#: (:mod:`repro.core.io_results`).
+TSV_CONTENT_TYPE = "text/tab-separated-values; charset=utf-8"
+
 
 class JobNotFound(KeyError):
     """Unknown job id (HTTP 404)."""
@@ -77,6 +86,10 @@ class JobNotFound(KeyError):
 
 class JobNotFinished(Exception):
     """Result requested before the job reached a terminal state (409)."""
+
+
+class ResultsUnavailable(Exception):
+    """A finished job whose bicliques were not kept (410)."""
 
 
 @dataclass
@@ -182,6 +195,9 @@ class EnumerationService:
         self._jobs: dict[str, Job] = {}
         self._results: dict[str, list[Biclique]] = {}
         self._cancel_events: dict[str, threading.Event] = {}
+        #: notified after a job leaves the running set (done, failed,
+        #: cancelled) and when the service drains: wakes status waits
+        self._job_ended = threading.Condition()
         self._idempotency: dict[str, str] = {}
         #: decoded-graph RAM layer above the store: admission (submit /
         #: submit_slice) and execution would otherwise re-decode the CSR
@@ -295,6 +311,7 @@ class EnumerationService:
         """
         timeout = self.config.drain_timeout if timeout is None else timeout
         self._draining = True
+        self._notify_job_ended()
         self._stop.set()
         self.queue.close()
         deadline = time.monotonic() + timeout
@@ -593,11 +610,21 @@ class EnumerationService:
 
     # -- queries -----------------------------------------------------------
 
-    def status(self, job_id: str) -> dict[str, Any]:
+    def status(self, job_id: str, wait: float = 0.0) -> dict[str, Any]:
+        """The job's status; ``wait`` > 0 holds the reply until the job
+        reaches a terminal state, the service drains, or ``wait``
+        seconds (at most :data:`MAX_STATUS_WAIT_S`) pass."""
         with self._lock:
             job = self._jobs.get(job_id)
         if job is None:
             raise JobNotFound(job_id)
+        wait = min(wait, MAX_STATUS_WAIT_S)
+        if wait > 0:
+            with self._job_ended:
+                self._job_ended.wait_for(
+                    lambda: job.state in TERMINAL_STATES or self._draining,
+                    wait,
+                )
         return job.status_payload()
 
     def list_jobs(self) -> list[dict[str, Any]]:
@@ -605,8 +632,8 @@ class EnumerationService:
             jobs = sorted(self._jobs.values(), key=lambda j: j.submitted_at)
         return [j.status_payload() for j in jobs]
 
-    def result(self, job_id: str) -> dict[str, Any]:
-        """Terminal job's outcome, including bicliques when stored."""
+    def _finished(self, job_id: str) -> tuple[Job, list[Biclique] | None]:
+        """A finished job and its RAM results (None when not in RAM)."""
         with self._lock:
             job = self._jobs.get(job_id)
             ram = self._results.get(job_id)
@@ -614,6 +641,24 @@ class EnumerationService:
             raise JobNotFound(job_id)
         if job.state not in TERMINAL_STATES and job.state != "interrupted":
             raise JobNotFinished(job.state)
+        return job, ram
+
+    def _cached_pairs(self, spec: JobSpec) -> list | None:
+        """A cache-hit job's ``[left, right]`` pairs from the artifact
+        store (they survive restarts), or None when gone."""
+        try:
+            _graph, gk = self._resolve_graph(spec)
+            cached = kinds.get_cached_result(
+                self.store, gk, self._result_fingerprint(spec),
+                need_bicliques=True,
+            )
+        except Exception:  # noqa: BLE001 - missing file, etc.
+            return None
+        return None if cached is None else cached["bicliques"]
+
+    def result(self, job_id: str) -> dict[str, Any]:
+        """Terminal job's outcome, including bicliques when stored."""
+        job, ram = self._finished(job_id)
         payload = job.status_payload()
         stored = job.summary.get("results", {})
         if ram is not None:
@@ -621,18 +666,10 @@ class EnumerationService:
                 [list(b.left), list(b.right)] for b in ram
             ]
         elif stored.get("mode") == "cache" and job.spec.collect:
-            # cache-hit results survive restarts in the artifact store;
-            # rehydrate instead of declaring them lost
-            try:
-                _graph, gk = self._resolve_graph(job.spec)
-                cached = kinds.get_cached_result(
-                    self.store, gk, self._result_fingerprint(job.spec),
-                    need_bicliques=True,
-                )
-            except Exception:  # noqa: BLE001 - missing file, etc.
-                cached = None
-            if cached is not None:
-                payload["bicliques"] = cached["bicliques"]
+            # rehydrate instead of declaring the results lost
+            pairs = self._cached_pairs(job.spec)
+            if pairs is not None:
+                payload["bicliques"] = pairs
             else:
                 payload["results_available"] = False
         elif stored.get("mode") == "spool":
@@ -649,6 +686,32 @@ class EnumerationService:
             payload["results_available"] = False
         return payload
 
+    def result_tsv(self, job_id: str) -> bytes:
+        """A finished job's bicliques as result-file lines.
+
+        The bytes come from RAM, from the result cache, or from the
+        job's spool (read as written, less any torn final line).  Raises
+        :class:`ResultsUnavailable` when none of them holds the result.
+        """
+        job, ram = self._finished(job_id)
+        stored = job.summary.get("results", {})
+        pairs = None
+        if ram is not None:
+            pairs = [(b.left, b.right) for b in ram]
+        elif stored.get("mode") == "cache" and job.spec.collect:
+            pairs = self._cached_pairs(job.spec)
+        elif stored.get("mode") == "spool":
+            spool = stored.get("spool_path")
+            if spool and os.path.exists(spool):
+                with open(spool, "rb") as handle:
+                    data = handle.read()
+                return data[: data.rfind(b"\n") + 1]
+        if pairs is None:
+            raise ResultsUnavailable(job_id)
+        return "".join(
+            [biclique_line(left, right) for left, right in pairs]
+        ).encode()
+
     def cancel(self, job_id: str) -> dict[str, Any]:
         with self._lock:
             job = self._jobs.get(job_id)
@@ -663,6 +726,7 @@ class EnumerationService:
             job.finished_at = time.time()
             self._journal_safe(job, "cancelled")
             self._jobs_counter("cancelled").inc()
+            self._notify_job_ended()
         elif event is not None:
             job.cancel_requested = True
             event.set()
@@ -803,6 +867,11 @@ class EnumerationService:
                 job.finished_at = time.time()
                 self._journal_safe(job, "failed", error=job.error)
                 self._jobs_counter("failed").inc()
+            self._notify_job_ended()
+
+    def _notify_job_ended(self) -> None:
+        with self._job_ended:
+            self._job_ended.notify_all()
 
     def _threshold_capable(self, spec: JobSpec, engine: str) -> bool:
         """A job with size thresholds must not silently run on an engine
@@ -1085,6 +1154,21 @@ class EnumerationService:
 
 _JOB_PATH = re.compile(r"^/jobs/([A-Za-z0-9-]+)(/result|/cancel)?$")
 
+#: Keys a ``GET /jobs/<id>`` / ``GET /jobs/<id>/result`` body may hold.
+_STATUS_OPTIONS = frozenset({"wait"})
+_RESULT_OPTIONS = frozenset({"format"})
+
+
+def _wait_seconds(options: dict) -> float:
+    """The validated ``wait`` of a status request (0 when absent)."""
+    wait = options.get("wait", 0)
+    if isinstance(wait, bool) or not isinstance(wait, (int, float)) or \
+            not math.isfinite(wait) or wait < 0:
+        raise JobValidationError(
+            "'wait' must be a finite number of seconds >= 0"
+        )
+    return float(wait)
+
 
 class _Handler(BaseHTTPRequestHandler):
     """Routes HTTP verbs to :class:`EnumerationService` methods."""
@@ -1095,16 +1179,32 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, *args) -> None:  # pragma: no cover - quiet
         pass
 
-    def _send_json(self, status: int, payload: dict,
-                   headers: dict | None = None) -> None:
-        body = json.dumps(payload).encode()
+    def _send(self, status: int, body: bytes, content_type: str,
+              headers: dict | None = None) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for key, value in (headers or {}).items():
             self.send_header(key, value)
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_json(self, status: int, payload: dict,
+                   headers: dict | None = None) -> None:
+        self._send(status, json.dumps(payload).encode(), "application/json",
+                   headers)
+
+    def _read_options(self, allowed: frozenset) -> dict:
+        """The optional JSON object a ``GET`` may carry (absent = ``{}``)."""
+        if not int(self.headers.get("Content-Length") or 0):
+            return {}
+        body = self._read_body()
+        if not isinstance(body, dict):
+            raise JobValidationError("request body must be a JSON object")
+        unknown = set(body) - allowed
+        if unknown:
+            raise JobValidationError(f"unsupported options: {sorted(unknown)}")
+        return body
 
     def _read_body(self) -> Any:
         length = int(self.headers.get("Content-Length") or 0)
@@ -1128,13 +1228,8 @@ class _Handler(BaseHTTPRequestHandler):
                     self._send_json(503, {"ready": False,
                                           "reason": "draining"})
             elif self.path == "/metrics":
-                body = service.metrics_text().encode()
-                self.send_response(200)
-                self.send_header("Content-Type",
-                                 "text/plain; version=0.0.4")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
+                self._send(200, service.metrics_text().encode(),
+                           "text/plain; version=0.0.4")
             elif self.path == "/jobs":
                 self._send_json(200, {"jobs": service.list_jobs()})
             elif self.path == "/slices":
@@ -1144,16 +1239,33 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 m = _JOB_PATH.match(self.path)
                 if m and m.group(2) is None:
-                    self._send_json(200, service.status(m.group(1)))
+                    wait = _wait_seconds(self._read_options(_STATUS_OPTIONS))
+                    self._send_json(200, service.status(m.group(1), wait))
                 elif m and m.group(2) == "/result":
-                    self._send_json(200, service.result(m.group(1)))
+                    fmt = self._read_options(_RESULT_OPTIONS).get(
+                        "format", "json"
+                    )
+                    if fmt == "json":
+                        self._send_json(200, service.result(m.group(1)))
+                    elif fmt == "tsv":
+                        self._send(200, service.result_tsv(m.group(1)),
+                                   TSV_CONTENT_TYPE)
+                    else:
+                        raise JobValidationError(
+                            "'format' must be 'json' or 'tsv'"
+                        )
                 else:
                     self._send_json(404, {"error": "no such route"})
+        except JobValidationError as exc:
+            self._send_json(400, {"error": str(exc)})
         except JobNotFound:
             self._send_json(404, {"error": "no such job"})
         except JobNotFinished as exc:
             self._send_json(409, {"error": "job not finished",
                                   "state": str(exc)})
+        except ResultsUnavailable:
+            self._send_json(410, {"error": "results not available",
+                                  "results_available": False})
         except Exception as exc:  # noqa: BLE001 - never kill the server
             self._send_json(500, {"error": repr(exc)})
 

@@ -34,6 +34,7 @@ from repro.cluster import (
     plan_slices,
 )
 from repro.cluster.journal import ClusterJournal, ClusterJournalError
+from repro.core.io_results import parse_bicliques
 from repro.core.parallel import addressable_roots, plan_root_ranges
 from repro.obs.sinks import parse_prometheus_text
 from repro.plan import recommend_slices, root_cost_estimates
@@ -786,6 +787,207 @@ class TestSliceRetryBudget:
         assert "retry budget exhausted" in (state.why or "")
         assert sid not in coord2._workers[self.URL].inflight
         coord2.close()
+
+
+# --------------------------------------------------------------------------
+# the byte merge: slice results travel, spool and replay as result lines
+
+
+def _journal_records(state_dir, event):
+    _plan, events = load_cluster_journal(
+        os.path.join(str(state_dir), "journal.jsonl")
+    )
+    return [e for e in events if e.get("event") == event]
+
+
+class TestByteMerge:
+    def _run(self, tmp_path, source, n_workers=1, **cfg):
+        services = [
+            _start_http_service(tmp_path, f"w{i}") for i in range(n_workers)
+        ]
+        try:
+            cfg.setdefault("n_slices", 2)
+            cfg.setdefault("poll_interval", 0.02)
+            cfg.setdefault("retry_backoff", 0.05)
+            coord = ClusterCoordinator(ClusterConfig(
+                state_dir=str(tmp_path / "coord"),
+                workers=[s[2] for s in services], **cfg,
+            ))
+            result = coord.run(source)
+            coord.close()
+            return coord, result
+        finally:
+            for service, httpd, _url in services:
+                httpd.shutdown()
+                service.drain(timeout=2)
+
+    def _source(self, tmp_path, graph):
+        gpath = tmp_path / "g.txt"
+        write_edge_list(graph, gpath)
+        return {"graph_path": str(gpath)}
+
+    @pytest.mark.parametrize("collect", [True, False])
+    def test_merge_is_exact_with_and_without_collect(self, tmp_path,
+                                                     collect):
+        g = _graph()
+        truth = _truth(g)
+        coord, result = self._run(
+            tmp_path, self._source(tmp_path, g), n_workers=2, n_slices=3,
+            collect=collect,
+        )
+        assert result.complete and result.count == len(truth)
+        if collect:
+            assert result.bicliques == sorted(truth)  # sorted, no dupes
+        else:
+            assert result.bicliques is None
+        # each completed record names a spool of exactly its bytes and
+        # lines: the worker's result lines, unchanged
+        spooled = set()
+        for rec in _journal_records(tmp_path / "coord", "completed"):
+            with open(rec["spool"], "rb") as handle:
+                data = handle.read()
+            assert len(data) == rec["bytes"]
+            assert data.count(b"\n") == rec["count"]
+            spooled |= {
+                b for b in parse_bicliques(data.decode())
+            }
+        assert spooled == truth
+
+    def test_short_tsv_reply_fails_the_slice_and_it_is_retried(
+        self, tmp_path, monkeypatch
+    ):
+        real = EnumerationService.result_tsv
+        cut = []
+
+        def short_once(service, job_id):
+            data = real(service, job_id)
+            if not cut and data.count(b"\n") > 1:
+                cut.append(job_id)
+                return data[: data.rstrip(b"\n").rfind(b"\n") + 1]
+            return data
+
+        monkeypatch.setattr(EnumerationService, "result_tsv", short_once)
+        g = _graph()
+        coord, result = self._run(tmp_path, self._source(tmp_path, g))
+        assert cut, "no reply was shortened"
+        assert result.complete, result.meta
+        assert result.biclique_set() == _truth(g)
+        assert len(result.bicliques) == len(result.biclique_set())
+        failed = _journal_records(tmp_path / "coord", "failed")
+        assert any("lines" in (f.get("why") or "") for f in failed)
+        samples = parse_prometheus_text(coord.metrics_text())
+        assert samples['cluster_slices_total{event="failed"}'] >= 1
+        assert samples["cluster_reassignments_total"] >= 1
+
+    @staticmethod
+    def _drop_a_line_keep_size(data):
+        # join the first two lines: same byte length, one line fewer
+        return data.replace(b"\n", b",", 1)
+
+    @pytest.mark.parametrize("damage", ["missing", "short", "lines"])
+    def test_replay_with_a_damaged_spool_reruns_the_slice(
+        self, tmp_path, damage
+    ):
+        g = _graph()
+        source = self._source(tmp_path, g)
+        _coord, first = self._run(tmp_path, source)
+        assert first.complete
+        victim = _journal_records(tmp_path / "coord", "completed")[0]
+        spool = victim["spool"]
+        with open(spool, "rb") as handle:
+            data = handle.read()
+        assert data.count(b"\n") >= 2
+        if damage == "missing":
+            os.remove(spool)
+        elif damage == "short":
+            with open(spool, "wb") as handle:
+                handle.write(data[:-3])
+        else:
+            with open(spool, "wb") as handle:
+                handle.write(self._drop_a_line_keep_size(data))
+            assert os.path.getsize(spool) == victim["bytes"]
+
+        # replay alone puts exactly the damaged slice back to pending
+        replay = ClusterCoordinator(ClusterConfig(
+            state_dir=str(tmp_path / "coord"),
+            workers=["http://127.0.0.1:9"], n_slices=2,
+        ))
+        replay._plan(replay._load_graph(source), source)
+        statuses = {sid: st.status for sid, st in replay._slices.items()}
+        replay.close()
+        assert statuses[victim["slice_id"]] == "pending"
+        assert sum(1 for v in statuses.values() if v == "completed") == \
+            len(statuses) - 1
+
+        n_dispatched = len(_journal_records(tmp_path / "coord",
+                                            "dispatched"))
+        _coord, second = self._run(tmp_path, source)
+        assert second.complete, second.meta
+        assert second.bicliques == sorted(_truth(g))
+        redispatched = _journal_records(
+            tmp_path / "coord", "dispatched")[n_dispatched:]
+        assert {r["slice_id"] for r in redispatched} == \
+            {victim["slice_id"]}
+
+    def test_torn_spool_write_keeps_the_run_exact_and_reruns_on_restart(
+        self, tmp_path
+    ):
+        from repro.chaos import FaultRule, FaultSchedule
+        from repro.chaos import fs as chaos_fs
+
+        g = _graph()
+        source = self._source(tmp_path, g)
+        torn = FaultSchedule(seed=0, rules=(
+            FaultRule("disk", "torn_write", op="write", max_fires=1,
+                      match=os.path.join("coord", "slices", "")),
+        ))
+        with chaos_fs.active(torn):
+            coord, first = self._run(tmp_path, source)
+        assert torn.fired_by_seam().get("disk") == 1
+        # the run keeps the torn slice in RAM, but journals no
+        # `completed` for it and leaves no spool behind
+        assert first.complete and first.bicliques == sorted(_truth(g))
+        samples = parse_prometheus_text(coord.metrics_text())
+        assert samples["cluster_spool_write_errors_total"] == 1
+        completed = _journal_records(tmp_path / "coord", "completed")
+        assert len(completed) == first.meta["slices"] - 1
+        spools = os.listdir(tmp_path / "coord" / "slices")
+        assert len(spools) == len(completed)
+
+        n_dispatched = len(_journal_records(tmp_path / "coord",
+                                            "dispatched"))
+        _coord, second = self._run(tmp_path, source)
+        assert second.complete and second.bicliques == sorted(_truth(g))
+        redispatched = _journal_records(
+            tmp_path / "coord", "dispatched")[n_dispatched:]
+        assert len(redispatched) == 1
+        assert redispatched[0]["slice_id"] not in {
+            r["slice_id"] for r in completed
+        }
+
+    def test_restart_closes_the_coordinator_id_file(self, tmp_path):
+        import gc
+        import warnings
+
+        state_dir = str(tmp_path / "coord")
+        first = ClusterCoordinator(ClusterConfig(
+            state_dir=state_dir, workers=["http://127.0.0.1:9"],
+        ))
+        first.close()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            second = ClusterCoordinator(ClusterConfig(
+                state_dir=state_dir, workers=["http://127.0.0.1:9"],
+            ))
+            second.close()
+            gc.collect()
+        assert second.coordinator_id == first.coordinator_id
+        unclosed = [
+            w for w in caught
+            if issubclass(w.category, ResourceWarning)
+            and "unclosed file" in str(w.message)
+        ]
+        assert not unclosed, [str(w.message) for w in unclosed]
 
 
 # --------------------------------------------------------------------------

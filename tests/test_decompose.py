@@ -57,13 +57,6 @@ class TestBuildSubproblem:
             assert sig == expected
             assert 0 < sig < space.full_mask
 
-    def test_size_estimates(self, g0):
-        rank = rank_of(vertex_order(g0, "natural"))
-        sub = build_subproblem(g0, 1, rank)
-        assert sub is not None
-        assert sub.height_bound == min(len(sub.space), len(sub.cands))
-        assert sub.size_estimate == sub.height_bound * len(sub.cands)
-
 
 class TestIterSubproblems:
     def test_every_maximal_biclique_has_exactly_one_home(self, g0):

@@ -26,7 +26,8 @@ from repro.chaos import FaultRule, FaultSchedule
 from repro.chaos import fs as chaos_fs
 from repro.bigraph.generators import planted_bicliques
 from repro.core.base import ALGORITHMS, MBEAlgorithm, register
-from repro.core.io_results import read_bicliques
+from repro.cluster.client import WorkerClient
+from repro.core.io_results import parse_bicliques, read_bicliques
 from repro.obs.sinks import parse_prometheus_text
 from repro.serve import (
     AdmissionError,
@@ -1097,6 +1098,207 @@ class TestHTTPSurface:
                 "GET", f"/jobs/{payload['job_id']}/result"
             )
             assert status == 409
+        finally:
+            httpd.shutdown()
+            service.drain(timeout=1)
+
+
+def _serve_http(service):
+    httpd = make_http_server(service)
+    threading.Thread(target=httpd.serve_forever,
+                     kwargs={"poll_interval": 0.05}, daemon=True).start()
+    return httpd, WorkerClient(f"http://127.0.0.1:{httpd.server_address[1]}")
+
+
+def _tsv_set(data):
+    return {(b.left, b.right) for b in parse_bicliques(data.decode())}
+
+
+class TestStatusWait:
+    """``GET /jobs/<id>`` with a ``{"wait": s}`` body holds the reply until
+    the job ends, bounded by ``s`` and by the server's cap."""
+
+    def test_terminal_job_returns_at_once(self, tmp_path):
+        service = _make_service(tmp_path)
+        httpd, client = _serve_http(service)
+        try:
+            job, _ = service.submit({"engine": "mbet", "edges": EDGES})
+            _wait_terminal(service, job.job_id)
+            t0 = time.monotonic()
+            status, body = client.job_status(job.job_id, wait=5.0)
+            assert status == 200 and body["state"] == "done"
+            assert time.monotonic() - t0 < 1.0
+        finally:
+            httpd.shutdown()
+            service.drain(timeout=2)
+
+    def test_job_finishing_during_the_wait_returns_well_before_the_bound(
+        self, tmp_path
+    ):
+        service = _make_service(tmp_path, start=False)  # job stays queued
+        httpd, client = _serve_http(service)
+        try:
+            job, _ = service.submit({"engine": "mbet", "edges": EDGES})
+            starter = threading.Timer(0.2, service.start)
+            starter.start()
+            t0 = time.monotonic()
+            status, body = client.job_status(job.job_id, wait=8.0)
+            waited = time.monotonic() - t0
+            starter.join()
+            assert status == 200 and body["state"] == "done"
+            assert 0.15 < waited < 4.0
+        finally:
+            httpd.shutdown()
+            service.drain(timeout=2)
+
+    def test_running_job_returns_at_the_bound(self, tmp_path):
+        service = _make_service(tmp_path, start=False)  # never finishes
+        httpd, client = _serve_http(service)
+        try:
+            job, _ = service.submit({"engine": "mbet", "edges": EDGES})
+            t0 = time.monotonic()
+            status, body = client.job_status(job.job_id, wait=0.3)
+            waited = time.monotonic() - t0
+            assert status == 200 and body["state"] == "queued"
+            assert 0.3 <= waited < 2.0
+            # a plain status request still answers at once
+            t0 = time.monotonic()
+            assert client.job_status(job.job_id)[1]["state"] == "queued"
+            assert time.monotonic() - t0 < 1.0
+        finally:
+            httpd.shutdown()
+            service.drain(timeout=1)
+
+    @pytest.mark.parametrize("body", [
+        {"wait": -1}, {"wait": "soon"}, {"wait": True}, {"wait": None},
+        {"wait": [1]}, {"wait": 1, "extra": 2}, ["wait"],
+        # JSON has no literal for these; Python's encoder writes them
+        {"wait": float("nan")}, {"wait": float("inf")},
+    ])
+    def test_malformed_or_negative_wait_is_400(self, tmp_path, body):
+        service = _make_service(tmp_path, start=False)
+        httpd, client = _serve_http(service)
+        try:
+            job, _ = service.submit({"engine": "mbet", "edges": EDGES})
+            status, payload = client.request(
+                "GET", f"/jobs/{job.job_id}", body
+            )
+            assert status == 400, payload
+        finally:
+            httpd.shutdown()
+            service.drain(timeout=1)
+
+    def test_oversized_wait_is_capped(self, tmp_path, monkeypatch):
+        import repro.serve.server as server_mod
+
+        monkeypatch.setattr(server_mod, "MAX_STATUS_WAIT_S", 0.2)
+        service = _make_service(tmp_path, start=False)
+        httpd, client = _serve_http(service)
+        try:
+            job, _ = service.submit({"engine": "mbet", "edges": EDGES})
+            t0 = time.monotonic()
+            status, body = client.job_status(job.job_id, wait=1e9)
+            assert status == 200 and body["state"] == "queued"
+            assert time.monotonic() - t0 < 3.0
+        finally:
+            httpd.shutdown()
+            service.drain(timeout=1)
+
+    def test_drain_releases_a_waiting_request(self, tmp_path):
+        service = _make_service(tmp_path, start=False)
+        job, _ = service.submit({"engine": "mbet", "edges": EDGES})
+        threading.Timer(0.2, service.drain, kwargs={"timeout": 1}).start()
+        t0 = time.monotonic()
+        service.status(job.job_id, wait=8.0)
+        assert time.monotonic() - t0 < 4.0
+
+
+class TestTSVResult:
+    """``GET /jobs/<id>/result`` with ``{"format": "tsv"}``: the result as
+    result-file bytes, from every place a finished job keeps it."""
+
+    def _json_set(self, client, job_id):
+        status, payload = client.request("GET", f"/jobs/{job_id}/result")
+        assert status == 200
+        return {(tuple(a), tuple(b)) for a, b in payload["bicliques"]}
+
+    def _tsv(self, client, job_id):
+        status, data = client.job_result_tsv(job_id)
+        assert status == 200 and isinstance(data, bytes)
+        return data
+
+    def test_ram_spool_and_cache_modes_match_the_json_route(self, tmp_path):
+        from repro.bigraph.io import write_edge_list
+
+        edges = [list(e) for e in planted_bicliques(
+            12, 12, 3, noise_edges=20, seed=4).edges()]
+        gpath = tmp_path / "g.txt"
+        write_edge_list(BipartiteGraph([tuple(e) for e in edges]), gpath)
+        expected = _expected_set(edges)
+        spec = {"engine": "mbet", "graph_path": str(gpath)}
+
+        ram_svc = _make_service(tmp_path)
+        httpd, client = _serve_http(ram_svc)
+        try:
+            job, _ = ram_svc.submit(spec)
+            _wait_terminal(ram_svc, job.job_id)
+            assert ram_svc.status(job.job_id)["summary"]["results"][
+                "mode"] == "collect"
+            cached, _ = ram_svc.submit(spec)  # answered by the cache
+            assert cached.summary.get("cache_hit") is True
+            for job_id in (job.job_id, cached.job_id):
+                data = self._tsv(client, job_id)
+                assert data.count(b"\n") == len(expected)
+                assert _tsv_set(data) == self._json_set(client, job_id) \
+                    == expected
+        finally:
+            httpd.shutdown()
+            ram_svc.drain(timeout=2)
+
+        # a restarted server holds no RAM results: the cache-hit job is
+        # rehydrated from the artifact store
+        reborn = _make_service(tmp_path, start=False)
+        httpd, client = _serve_http(reborn)
+        try:
+            assert reborn.status(cached.job_id)["summary"]["results"][
+                "mode"] == "cache"
+            data = self._tsv(client, cached.job_id)
+            assert _tsv_set(data) == self._json_set(
+                client, cached.job_id) == expected
+            # the first job's RAM results did not survive
+            status, body = client.job_result_tsv(job.job_id)
+            assert status == 410 and body["results_available"] is False
+        finally:
+            httpd.shutdown()
+            reborn.drain(timeout=1)
+
+        spool_svc = _make_service(tmp_path / "spool", max_in_ram=2,
+                                  result_cache=False)
+        httpd, client = _serve_http(spool_svc)
+        try:
+            job, _ = spool_svc.submit(spec)
+            _wait_terminal(spool_svc, job.job_id)
+            results = spool_svc.status(job.job_id)["summary"]["results"]
+            assert results["mode"] == "spool"
+            data = self._tsv(client, job.job_id)
+            with open(results["spool_path"], "rb") as handle:
+                assert data == handle.read()  # the bytes the job wrote
+            assert _tsv_set(data) == self._json_set(
+                client, job.job_id) == expected
+        finally:
+            httpd.shutdown()
+            spool_svc.drain(timeout=2)
+
+    def test_unfinished_job_is_409_and_bad_format_400(self, tmp_path):
+        service = _make_service(tmp_path, start=False)
+        httpd, client = _serve_http(service)
+        try:
+            job, _ = service.submit({"engine": "mbet", "edges": EDGES})
+            assert client.job_result_tsv(job.job_id)[0] == 409
+            status, _ = client.request(
+                "GET", f"/jobs/{job.job_id}/result", {"format": "xml"}
+            )
+            assert status == 400
         finally:
             httpd.shutdown()
             service.drain(timeout=1)
