@@ -42,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any
+from typing import Any, Sequence
 
 from repro.artifacts.store import ArtifactStore
 from repro.bigraph.components import connected_components
@@ -323,19 +323,20 @@ def put_cached_result(
     engine: str,
     count: int,
     elapsed: float,
-    bicliques: list[tuple[list[int], list[int]]] | None = None,
+    bicliques: Sequence[tuple[Sequence[int], Sequence[int]]] | None = None,
 ) -> bool:
     """Store one complete result; returns False when nothing was stored.
 
     Callers must only pass *complete* runs — a truncated enumeration is
     not "the answer" and poisoning the cache with one would make every
-    later hit wrong.
+    later hit wrong.  ``bicliques`` are ``(left, right)`` pairs of
+    Python-int sequences (a :class:`~repro.core.base.Biclique`'s tuples
+    as they are), listed here once for the JSON payload.
     """
     stored_bicliques = None
     if bicliques is not None and len(bicliques) <= RESULT_BICLIQUE_CAP:
         stored_bicliques = [
-            [list(map(int, left)), list(map(int, right))]
-            for left, right in bicliques
+            [list(left), list(right)] for left, right in bicliques
         ]
     store.put(
         gk, "result",

@@ -293,7 +293,7 @@ def _finish_run(args: argparse.Namespace, result, store, gk, name: str,
             engine=args.algorithm, count=result.count,
             elapsed=result.elapsed,
             bicliques=(
-                [(list(b.left), list(b.right)) for b in result.bicliques]
+                [(b.left, b.right) for b in result.bicliques]
                 if result.bicliques is not None else None
             ),
         )

@@ -102,11 +102,6 @@ class WorkerClient:
         status, _ = self.request("GET", "/healthz")
         return status == 200
 
-    def register(self, coordinator_id: str) -> tuple[int, dict]:
-        return self.request(
-            "POST", "/cluster/register", {"coordinator": coordinator_id}
-        )
-
     def submit_slice(
         self, slice_payload: dict, coordinator_id: str
     ) -> tuple[int, dict]:

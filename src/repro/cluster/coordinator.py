@@ -888,10 +888,6 @@ class ClusterCoordinator:
         )
         for worker in self._workers.values():
             worker.last_ok = start
-            try:
-                worker.client.register(self.coordinator_id)
-            except WorkerUnreachable:
-                pass  # liveness is the heartbeat's call, not boot's
         stopped: str | None = None
         last_heartbeat = 0.0
         all_dead_since: float | None = None

@@ -24,9 +24,13 @@ from repro.obs.metrics import NULL_INSTRUMENTATION, Instrumentation
 from repro.runtime.budget import NULL_GUARD, BudgetExceeded, BudgetGuard, RunBudget
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Biclique:
-    """A maximal biclique ``(L, R)`` in canonical form (sorted tuples)."""
+    """A maximal biclique ``(L, R)`` in canonical form (sorted tuples).
+
+    Slotted: no per-instance attribute dict, which a run holding thousands
+    of results pays for in both construction time and memory.
+    """
 
     left: tuple[int, ...]
     right: tuple[int, ...]

@@ -15,8 +15,12 @@ distribution *load-aware*:
 * **LPT scheduling.**  Tasks are dispatched largest-estimate-first to the
   process pool, the classic longest-processing-time heuristic.
 
-With ``workers=1`` (a federated slice on its worker) neither applies:
-each root is one task, run inline in root order.
+With ``workers=1`` (a federated slice on its worker) neither applies.
+A plain run (no checkpoint, no fault plan, no instrumentation) is one
+MBET pass over the roots through :meth:`MBEAlgorithm.run`: one sink, one
+stats object, no executor.  A checkpointed, fault-injected or
+instrumented run keeps one task per root, run inline in root order, so
+each finished root can be persisted, retried or traced.
 
 On top of the distribution sits the **resilient runtime**
 (:mod:`repro.runtime`): execution goes through a
@@ -371,10 +375,40 @@ class ParallelMBE(MBEAlgorithm):
         self.root_range = root_range
         self.engine_options = dict(engine_options)
 
-    # The framework hook is unused: run() is overridden wholesale because
-    # results arrive from workers, not from an in-process tree walk.
-    def _enumerate(self, graph, report, stats):  # pragma: no cover
-        raise NotImplementedError("ParallelMBE drives its own run()")
+    def _enumerate(self, graph, report, stats):
+        """The one-pass run: one MBET over the (ranged) addressable roots.
+
+        Reached through :meth:`MBEAlgorithm.run`, which owns the sink,
+        the budget guard and the orientation; thresholds are already in
+        work-graph coordinates here.  A failure raises, as in any engine:
+        only the per-root path retries.
+        """
+        algo = MBET(
+            order=self.order, seed=self.seed, min_left=self.min_left,
+            min_right=self.min_right, **self.engine_options,
+        )
+        rank = rank_of(vertex_order(graph, self.order, seed=self.seed))
+        guard = algo._guard = self._guard
+        try:
+            for v in self._ranged_roots(graph):
+                # per root, as iter_subproblems does: a barren stretch of
+                # pruned roots must not outrun a deadline
+                guard.check_now()
+                sub = build_subproblem(graph, v, rank)
+                if sub is not None and algo._accept_subproblem(sub, stats):
+                    stats.subtrees += 1
+                    algo._run_subproblem(sub, report, stats)
+        finally:
+            algo._guard = NULL_GUARD
+
+    def _ranged_roots(self, graph: BipartiteGraph) -> list[int]:
+        """The roots at indices ``lo..hi-1`` of :func:`addressable_roots`
+        (all of them without a ``root_range``)."""
+        roots = addressable_roots(graph, self.order, seed=self.seed)
+        if self.root_range is None:
+            return roots
+        lo, hi = self.root_range
+        return roots[lo:hi]
 
     def _estimate(self, graph: BipartiteGraph, v: int) -> tuple[int, int]:
         """(estimate, height) for the subtree rooted at ``v``."""
@@ -394,12 +428,7 @@ class ParallelMBE(MBEAlgorithm):
         rebuild the subproblem and reseed the store, and there is no
         second worker to hand them to.
         """
-        roots = addressable_roots(graph, self.order, seed=self.seed)
-        if self.root_range is not None:
-            lo, hi = self.root_range
-            if lo >= len(roots):
-                return []
-            roots = roots[lo:min(hi, len(roots))]
+        roots = self._ranged_roots(graph)
         if self.workers == 1:
             return [(v, 0, 1) for v in roots]
         estimated: list[tuple[int, int, int]] = []  # (estimate, height, v)
@@ -492,8 +521,32 @@ class ParallelMBE(MBEAlgorithm):
         caller-owned hook instead of collecting; workers still ship
         bicliques to the driver per task, so the hook sees them at task
         granularity.
+
+        One worker with nothing to persist, inject or trace per task
+        takes the one-pass run (:meth:`_enumerate`) instead: the same
+        results, budgets and streaming, without the per-root executor,
+        stats merges and task bookkeeping (``meta`` keeps ``workers``).
         """
         budget = resolve_budget(limits, budget)
+        if (
+            self.workers == 1
+            and self.checkpoint is None
+            and self.faults is None
+            and (instrumentation is None or not instrumentation.enabled)
+        ):
+            result = super().run(
+                graph, collect=collect, budget=budget,
+                instrumentation=instrumentation, on_biclique=on_biclique,
+            )
+            result.meta["workers"] = self.workers
+            # the guard stops on the report that reaches the cap, so a
+            # cap of 0 lets one through; never return more than the cap
+            cap = budget.max_bicliques if budget is not None else None
+            if cap is not None and result.count > cap:
+                result.count = result.stats.maximal = cap
+                if result.bicliques is not None:
+                    del result.bicliques[cap:]
+            return result
         instr = (
             instrumentation if instrumentation is not None
             else NULL_INSTRUMENTATION

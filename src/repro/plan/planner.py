@@ -378,6 +378,13 @@ SLICE_REQUEST_SECONDS = 0.012
 #: shaped graphs on the same host: 1.03–1.06 µs per wedge on each.
 SECONDS_PER_WEDGE = 1.05e-6
 
+#: Predicted engine time (root wedges × :data:`SECONDS_PER_WEDGE`) above
+#: which a federated slice keeps a per-root checkpoint on its worker.
+#: Below it, redoing the whole slice after a worker kill costs less than
+#: the coordinator's loss detection (a 2 s heartbeat timeout), while the
+#: per-root records cost about 30 ms on a 25 ms slice (docs/planning.md).
+SLICE_CHECKPOINT_SECONDS = 1.0
+
 #: Job size, in slice round trips of engine work, below which a federated
 #: job gets one slice per worker.  Measured on the same host with two
 #: workers (docs/planning.md): one slice per worker beat ``2 × workers`` +

@@ -12,10 +12,11 @@ Crash safety contract: every accepted job is journaled before it is
 queued, every state change is journaled as it happens, and a server
 restarted against the same ``--state-dir`` re-enqueues any job whose
 trail is non-terminal.  The parallel engine additionally resumes from
-its per-job checkpoint file, so a kill -9 mid-enumeration costs only
-the unfinished subtrees — and because each attempt truncates its spool,
-a resumed job reports the exact maximal-biclique set with no
-duplicates.
+its per-job checkpoint file (a federated slice has one only when its
+predicted engine time passes the checkpoint gate), so a kill -9
+mid-enumeration costs only the unfinished subtrees — and because each
+attempt truncates its spool, a resumed job reports the exact
+maximal-biclique set with no duplicates.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from repro.core.base import ALGORITHMS, Biclique, run_mbe
 from repro.core.io_results import biclique_line, read_bicliques
 from repro.obs.metrics import MetricRegistry
 from repro.obs.sinks import prometheus_text
-from repro.plan import PLANNER_ENGINES, Plan, build_plan
+from repro.plan import PLANNER_ENGINES, Plan, build_plan, root_cost_estimates
+from repro.plan.planner import SECONDS_PER_WEDGE, SLICE_CHECKPOINT_SECONDS
 from repro.runtime.budget import RunBudget
 from repro.runtime.faults import FaultPlan
 from repro.serve.breaker import (
@@ -78,6 +80,32 @@ MAX_STATUS_WAIT_S = 10.0
 #: Media type of a result served as result-file lines
 #: (:mod:`repro.core.io_results`).
 TSV_CONTENT_TYPE = "text/tab-separated-values; charset=utf-8"
+
+
+def _is_slice(spec: JobSpec) -> bool:
+    """A root-range job: a federated slice (:mod:`repro.cluster`)."""
+    return spec.engine_options.get("root_range") is not None
+
+
+def _wants_checkpoint(spec: JobSpec, graph: BipartiteGraph) -> bool:
+    """Whether a checkpoint-capable job gets its per-job checkpoint.
+
+    Every job does but a short slice: one whose root wedges predict at
+    most :data:`~repro.plan.planner.SLICE_CHECKPOINT_SECONDS` of engine
+    time re-runs whole after a kill instead of paying per-root records.
+    """
+    if not _is_slice(spec):
+        return True
+    options = spec.engine_options
+    try:
+        lo, hi = options["root_range"]
+        costs = root_cost_estimates(
+            graph, options.get("order", "degree"), seed=options.get("seed", 0)
+        )
+        wedges = sum(costs[lo:hi])
+    except (TypeError, ValueError):
+        return True  # malformed options: the engine rejects them itself
+    return wedges * SECONDS_PER_WEDGE > SLICE_CHECKPOINT_SECONDS
 
 
 class JobNotFound(KeyError):
@@ -539,9 +567,10 @@ class EnumerationService:
         / ``max_nodes`` ask for a possibly-truncated enumeration, which
         a complete result is *not* (a ``time_limit`` is just a deadline,
         which an instant answer trivially meets).  Fault-injection jobs
-        exist to exercise the failure path and must actually run.
+        exist to exercise the failure path and must actually run.  Slices
+        are never cached (:meth:`_finish_job`), so never probed.
         """
-        if not self.config.result_cache or spec.faults:
+        if not self.config.result_cache or spec.faults or _is_slice(spec):
             return None
         if spec.max_bicliques is not None or spec.max_nodes is not None:
             return None
@@ -936,7 +965,9 @@ class EnumerationService:
             ).inc()
         return engines, plan
 
-    def _engine_kwargs(self, engine: str, spec: JobSpec, job_dir: str) -> dict:
+    def _engine_kwargs(
+        self, engine: str, spec: JobSpec, job_dir: str, graph: BipartiteGraph
+    ) -> dict:
         params = inspect.signature(ALGORITHMS[engine]).parameters
         kwargs = {
             k: v for k, v in spec.engine_options.items() if k in params
@@ -944,7 +975,7 @@ class EnumerationService:
         if "min_left" in params:
             kwargs.setdefault("min_left", spec.min_left)
             kwargs.setdefault("min_right", spec.min_right)
-        if "checkpoint" in params:
+        if "checkpoint" in params and _wants_checkpoint(spec, graph):
             kwargs.setdefault(
                 "checkpoint", os.path.join(job_dir, "checkpoint.jsonl")
             )
@@ -1014,7 +1045,7 @@ class EnumerationService:
                 if spec.collect
                 else None
             )
-            kwargs = self._engine_kwargs(engine, spec, job_dir)
+            kwargs = self._engine_kwargs(engine, spec, job_dir, graph)
             try:
                 if engine == "parallel":
                     with _PARALLEL_LOCK:
@@ -1128,13 +1159,13 @@ class EnumerationService:
                 # engine (and its circuit breaker), not mask its failure
                 # behind a cache hit
                 and engine_used == job.spec.engine
+                # a slice's answer is journaled and spooled by its
+                # coordinator, and a redelivery reuses the job
+                and not _is_slice(job.spec)
             ):
                 bicliques = None
                 if collector is not None and collector.mode == "collect":
-                    bicliques = [
-                        (list(b.left), list(b.right))
-                        for b in collector.results
-                    ]
+                    bicliques = [(b.left, b.right) for b in collector.results]
                 # store before flipping the state: a client that saw
                 # "done" and immediately resubmits must find the cache
                 # warm, not race the write

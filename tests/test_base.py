@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import BipartiteGraph, Biclique, run_mbe
 from repro.core.base import (
     ALGORITHMS,
@@ -33,6 +39,47 @@ class TestBiclique:
         b = Biclique.make([1], [2])
         assert a < b
         assert len({a, b, Biclique.make([1], [1])}) == 2
+
+    def test_pickle_round_trip(self):
+        b = Biclique.make([3, 1], [2])
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(b, protocol))
+            assert back == b and type(back) is Biclique
+
+    def test_hash_is_the_tuple_hash(self):
+        b = Biclique.make([1, 2], [5])
+        assert hash(b) == hash((b.left, b.right))
+
+    def test_orders_by_left_then_right(self):
+        items = [
+            Biclique.make([2], [0]), Biclique.make([1, 2], [3]),
+            Biclique.make([1], [4]), Biclique.make([1], [0, 9]),
+        ]
+        assert sorted(items) == sorted(
+            items, key=lambda b: (b.left, b.right)
+        )
+
+    def test_frozen(self):
+        b = Biclique.make([1], [2])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b.left = (3,)
+
+    def test_slotted(self):
+        b = Biclique.make([1], [2])
+        assert not hasattr(b, "__dict__")
+        with pytest.raises(TypeError):
+            vars(b)
+
+    def test_no_source_reads_a_biclique_dict(self):
+        # a slotted Biclique has no __dict__: nothing in the package may
+        # introspect one through vars() or __dict__
+        src = Path(repro.__file__).parent
+        offenders = [
+            str(path.relative_to(src))
+            for path in src.rglob("*.py")
+            if re.search(r"\bvars\(|__dict__", path.read_text("utf-8"))
+        ]
+        assert offenders == []
 
 
 class TestEnumerationStats:

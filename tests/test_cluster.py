@@ -324,6 +324,97 @@ class TestWorkerSliceSurface:
             httpd.shutdown()
             service.drain(timeout=2)
 
+    @staticmethod
+    def _run_to_done(service, job):
+        deadline = time.monotonic() + 20
+        while service.status(job.job_id)["state"] not in ("done", "failed"):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        payload = service.result(job.job_id)
+        assert payload["state"] == "done"
+        return payload, os.path.join(
+            service.jobs_dir, job.job_id, "checkpoint.jsonl"
+        )
+
+    def test_short_slice_writes_no_checkpoint_and_no_result(self, tmp_path):
+        service, httpd, _url = _start_http_service(tmp_path, "w")
+        try:
+            g = _graph()
+            edges = [list(e) for e in g.edges()]
+            got = set()
+            for spec in plan_slices(g, 2, {"edges": edges}):
+                job, _dedup = service.submit_slice({"slice": spec.as_dict()})
+                payload, ckpt = self._run_to_done(service, job)
+                assert not os.path.exists(ckpt)
+                got.update(
+                    (tuple(ls), tuple(rs)) for ls, rs in payload["bicliques"]
+                )
+            assert got == {(b.left, b.right) for b in _truth(g)}
+            assert not [
+                e for e in service.store.entries() if e.kind == "result"
+            ]
+        finally:
+            httpd.shutdown()
+            service.drain(timeout=2)
+
+    def test_slice_over_the_gate_checkpoints_per_root(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.serve.server as server_mod
+
+        monkeypatch.setattr(server_mod, "SLICE_CHECKPOINT_SECONDS", 0.0)
+        service, httpd, _url = _start_http_service(tmp_path, "w")
+        try:
+            g = _graph()
+            edges = [list(e) for e in g.edges()]
+            spec = plan_slices(g, 2, {"edges": edges})[1]
+            job, _dedup = service.submit_slice({"slice": spec.as_dict()})
+            _payload, ckpt = self._run_to_done(service, job)
+            with open(ckpt, encoding="utf-8") as handle:
+                records = [json.loads(line) for line in handle]
+            assert records[0]["type"] == "header"
+            tasks = [r["task"] for r in records[1:]]
+            assert all(r["type"] == "task" for r in records[1:])
+            # one whole-root task per root of the slice's range
+            assert len(tasks) == spec.hi - spec.lo
+            assert all(t[1:] == [0, 1] for t in tasks)
+            # still no result-cache entry: slices are never cached
+            assert not [
+                e for e in service.store.entries() if e.kind == "result"
+            ]
+            # a whole-graph job keeps its checkpoint and is cached
+            whole, _dedup = service.submit({
+                "engine": "parallel", "edges": edges,
+                "engine_options": {"workers": 1},
+            })
+            _payload, ckpt = self._run_to_done(service, whole)
+            assert os.path.exists(ckpt)
+            assert [
+                e for e in service.store.entries() if e.kind == "result"
+            ]
+        finally:
+            httpd.shutdown()
+            service.drain(timeout=2)
+
+    def test_malformed_root_range_fails_in_the_engine(self, tmp_path):
+        service, httpd, _url = _start_http_service(tmp_path, "w")
+        try:
+            job, _dedup = service.submit({
+                "engine": "parallel", "edges": EDGES, "no_fallback": True,
+                "engine_options": {"workers": 1, "root_range": [1]},
+            })
+            deadline = time.monotonic() + 20
+            while service.status(job.job_id)["state"] != "failed":
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            # the engine's own rejection, not a crash in the gate
+            error = service.status(job.job_id)["error"]
+            assert error.startswith("no engine could run the job: parallel:")
+            assert "ValueError" in error
+        finally:
+            httpd.shutdown()
+            service.drain(timeout=2)
+
     def test_slice_root_count_cached_across_submissions(self, tmp_path):
         """Redelivered slices must not re-read and re-order the graph
         inside the handler: the root count is served from cache."""

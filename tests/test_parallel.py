@@ -2,22 +2,31 @@
 
 from __future__ import annotations
 
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import run_mbe
+from repro.bigraph.generators import planted_bicliques
 from repro.bigraph.ordering import rank_of, vertex_order
-from repro.core.base import EnumerationStats
-from repro.core.decompose import build_subproblem
-from repro.core.parallel import ParallelMBE
+from repro.core.base import Biclique, EnumerationLimits, EnumerationStats
+from repro.core.decompose import build_subproblem, iter_subproblems
+from repro.core.mbet import MBET
+from repro.core.parallel import ParallelMBE, addressable_roots
 from repro.datasets import load
+from repro.obs.metrics import Instrumentation
+from repro.runtime import FaultPlan, RunBudget
 from tests.conftest import (
     G0_MAXIMAL,
     CountingMBET,
     nested_chain,
     random_bigraph,
 )
+from tests.strategies import bipartite_graphs
 
 
 class TestConstruction:
@@ -368,6 +377,167 @@ class TestCheckpointResume:
         result = run_mbe(g0, "parallel", workers=1, checkpoint=path)
         assert result.complete is True
         assert result.biclique_set() == G0_MAXIMAL
+
+
+def _mbet_over_roots(graph, roots, min_left=1, min_right=1):
+    """MBET's own subproblem loop restricted to ``roots``: the reference
+    a ranged run must equal."""
+    algo = MBET(min_left=min_left, min_right=min_right)
+    stats = EnumerationStats()
+    found: set[Biclique] = set()
+    for sub in iter_subproblems(graph):
+        if sub.root_v in roots and algo._accept_subproblem(sub, stats):
+            algo._run_subproblem(
+                sub, lambda ls, rs: found.add(Biclique.make(ls, rs)), stats
+            )
+    return found
+
+
+def _run(algo, graph, mode):
+    """Run in one of the three result modes; returns (result, bicliques)."""
+    if mode == "hook":
+        streamed: list[Biclique] = []
+        result = algo.run(graph, on_biclique=streamed.append)
+        assert result.bicliques is None
+        return result, streamed
+    result = algo.run(graph, collect=mode == "collect")
+    return result, result.bicliques
+
+
+class TestOnePass:
+    """``workers=1`` without checkpoint, faults or instrumentation is one
+    MBET pass; it must agree with the per-root path and with MBET."""
+
+    @settings(
+        max_examples=80, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(graph=bipartite_graphs(max_u=9, max_v=9), data=st.data())
+    def test_matches_per_root_and_mbet(self, graph, data):
+        n = len(addressable_roots(graph))
+        root_range = None
+        if n and data.draw(st.booleans(), label="ranged"):
+            lo = data.draw(st.integers(0, n - 1), label="lo")
+            hi = data.draw(st.integers(lo + 1, n + 2), label="hi")
+            root_range = (lo, hi)
+        options = {
+            "workers": 1,
+            "root_range": root_range,
+            "min_left": data.draw(st.integers(1, 3), label="min_left"),
+            "min_right": data.draw(st.integers(1, 3), label="min_right"),
+            "orient_smaller_v": data.draw(st.booleans(), label="orient"),
+        }
+        mode = data.draw(
+            st.sampled_from(["collect", "count", "hook"]), label="mode"
+        )
+        one, one_found = _run(ParallelMBE(**options), graph, mode)
+        with tempfile.TemporaryDirectory() as tmp:
+            per, per_found = _run(
+                ParallelMBE(
+                    checkpoint=os.path.join(tmp, "run.ckpt"), **options
+                ),
+                graph, mode,
+            )
+        assert "tasks" not in one.meta and "tasks" in per.meta
+        assert one.complete and per.complete
+        assert one.count == per.count
+        assert one.stats.as_dict() == per.stats.as_dict()
+        if mode == "count":
+            assert one_found is None and per_found is None
+            return
+        assert len(one_found) == one.count
+        assert set(one_found) == set(per_found)
+        if options["orient_smaller_v"]:
+            return  # MBET's reference below walks the graph unswapped
+        roots = addressable_roots(graph)
+        if root_range is not None:
+            roots = roots[root_range[0]:root_range[1]]
+        assert set(one_found) == _mbet_over_roots(
+            graph, set(roots), options["min_left"], options["min_right"]
+        )
+        if root_range is None:
+            assert set(one_found) == run_mbe(
+                graph, "mbet", min_left=options["min_left"],
+                min_right=options["min_right"],
+            ).biclique_set()
+
+    @settings(
+        max_examples=80, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(graph=bipartite_graphs(max_u=9, max_v=9), data=st.data())
+    def test_two_ranges_partition_the_result(self, graph, data):
+        orient = data.draw(st.booleans(), label="orient")
+        work = graph.oriented_smaller_v()[0] if orient else graph
+        n = len(addressable_roots(work))
+        if n < 2:
+            return
+        cut = data.draw(st.integers(1, n - 1), label="cut")
+        options = {
+            "workers": 1,
+            "min_left": data.draw(st.integers(1, 3), label="min_left"),
+            "min_right": data.draw(st.integers(1, 3), label="min_right"),
+            "orient_smaller_v": orient,
+        }
+        parts = [
+            ParallelMBE(root_range=r, **options).run(graph)
+            for r in ((0, cut), (cut, n))
+        ]
+        truth = run_mbe(
+            graph, "mbet", min_left=options["min_left"],
+            min_right=options["min_right"],
+        ).biclique_set()
+        assert sum(p.count for p in parts) == len(truth)
+        assert set().union(*(p.bicliques for p in parts)) == truth
+
+    def test_per_root_path_kept_for_faults_and_instrumentation(self, g0):
+        faulted = ParallelMBE(workers=1, faults=FaultPlan()).run(g0)
+        traced = ParallelMBE(workers=1).run(
+            g0, instrumentation=Instrumentation()
+        )
+        plain = ParallelMBE(workers=1).run(g0)
+        assert "tasks" in faulted.meta and "tasks" in traced.meta
+        assert "tasks" not in plain.meta and plain.meta["workers"] == 1
+        for result in (faulted, traced, plain):
+            assert result.biclique_set() == G0_MAXIMAL
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        return planted_bicliques(120, 80, 40, (2, 6), (2, 6), 300, seed=3)
+
+    @pytest.mark.parametrize("cap", [0, 1, 7, 50])
+    def test_max_bicliques_caps_the_count(self, dense, cap):
+        full = ParallelMBE(workers=1).run(dense).biclique_set()
+        assert len(full) > 50
+        result = ParallelMBE(workers=1).run(
+            dense, limits=EnumerationLimits(max_bicliques=cap)
+        )
+        assert result.count <= cap
+        assert len(result.bicliques) == result.count
+        assert result.complete is False
+        assert result.meta["stopped"] == "max_bicliques"
+        assert set(result.bicliques) <= full
+
+    def test_time_limit_stops_the_pass(self):
+        g = planted_bicliques(600, 400, 300, (2, 6), (2, 6), 2000, seed=3)
+        result = ParallelMBE(workers=1).run(
+            g, collect=False, limits=EnumerationLimits(time_limit=0.02)
+        )
+        assert result.complete is False
+        assert result.meta["stopped"] == "time_limit"
+        assert result.elapsed < 1.0
+
+    def test_cancel_stops_the_pass(self, dense):
+        seen: list[Biclique] = []
+        result = ParallelMBE(workers=1).run(
+            dense, budget=RunBudget(cancel=lambda: len(seen) >= 5),
+            on_biclique=seen.append,
+        )
+        assert result.complete is False
+        assert result.meta["stopped"] == "cancelled"
+        assert 5 <= result.count < len(
+            ParallelMBE(workers=1).run(dense).bicliques
+        )
 
 
 @pytest.mark.stress

@@ -101,12 +101,17 @@ class TestDeadlineBinding:
     """The acceptance bound: a deadline fires within 2x its value even on
     a graph that never reports a biclique."""
 
-    @pytest.mark.parametrize("algo", ["mbet", "mbetm"])
-    def test_barren_graph_terminates_within_2x(self, algo):
+    @pytest.mark.parametrize("algo, options", [
+        pytest.param("mbet", {}, id="mbet"),
+        pytest.param("mbetm", {}, id="mbetm"),
+        # the one-pass run of a single-worker parallel job
+        pytest.param("parallel", {"workers": 1}, id="parallel"),
+    ])
+    def test_barren_graph_terminates_within_2x(self, algo, options):
         g = barren_graph()
         t = 0.3
         start = time.perf_counter()
-        result = run_mbe(g, algo, collect=False, time_limit=t)
+        result = run_mbe(g, algo, collect=False, time_limit=t, **options)
         elapsed = time.perf_counter() - start
         assert result.complete is False
         assert result.meta["stopped"] == "time_limit"
