@@ -52,7 +52,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
-from repro.chaos import fs as chaos_fs
+from repro.runtime import durable
 
 try:  # POSIX; the only platform this repo targets, but degrade politely
     import fcntl
@@ -441,11 +441,7 @@ class ArtifactStore:
                 replaced = 0
             try:
                 os.makedirs(os.path.dirname(path), exist_ok=True)
-                with chaos_fs.open(tmp, "wb") as handle:
-                    handle.write(data)
-                    handle.flush()
-                    chaos_fs.fsync(handle.fileno(), tmp)
-                chaos_fs.replace(tmp, path)
+                durable.atomic_rewrite(path, tmp, [data], binary=True)
             except OSError as exc:
                 self._ledger = None
                 self._count("write_errors", kind)
@@ -456,11 +452,6 @@ class ArtifactStore:
                 )
                 return path
             finally:
-                if os.path.exists(tmp):  # a failed write never half-lands
-                    try:
-                        os.remove(tmp)
-                    except OSError:  # pragma: no cover
-                        pass
                 self._memo_drop(path)
             self._count("writes", kind)
             if self.max_bytes is not None:

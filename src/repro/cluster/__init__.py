@@ -15,9 +15,10 @@ biclique set.  Robustness model (see ``docs/cluster.md``):
   its in-flight slices lost; lost slices are reassigned to healthy
   peers with exponential backoff and jitter, capped by the job budget;
 * **coordinator loss** — every slice transition is journaled to an
-  append-only, torn-tail-tolerant JSONL file and completed slice
-  results are spooled to disk, so a ``kill -9``'d coordinator restarts
-  from completed-slice state without re-running finished shards.
+  append-only JSONL file (:mod:`repro.runtime.durable`'s torn-tail
+  rule) and completed slice results are spooled to disk, so a
+  ``kill -9``'d coordinator restarts from completed-slice state without
+  re-running finished shards.
 """
 
 from repro.cluster.coordinator import (

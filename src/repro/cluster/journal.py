@@ -1,9 +1,11 @@
 """Coordinator-side journal: the durable truth of a federated job.
 
-Same append-only, flushed-per-record, torn-tail-tolerant JSONL contract
-as :mod:`repro.serve.journal` — a coordinator killed mid-write leaves at
-most one torn trailing line, which the loader drops; any other damage
-raises :class:`ClusterJournalError` with ``path:line`` context.
+Appends and the loader's torn-tail rule are
+:mod:`repro.runtime.durable`'s: a coordinator killed mid-write leaves
+at most one torn trailing line, which the loader drops; any other
+damage raises :class:`ClusterJournalError` with ``path:line`` context.
+A failed append is rolled back, counted in ``write_errors`` and
+swallowed.
 
 Record shapes::
 
@@ -28,13 +30,13 @@ count; otherwise the slice runs again.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from typing import IO, Any
 
 from repro.chaos import fs as chaos_fs
+from repro.runtime import durable
 
 __all__ = ["ClusterJournal", "ClusterJournalError", "load_cluster_journal"]
 
@@ -52,26 +54,12 @@ def load_cluster_journal(
     ``events`` is every slice/terminal record after it, in append order.
     """
     path = os.fspath(path)
-    if not os.path.exists(path):
-        return None, []
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    stripped = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
     plan: dict[str, Any] | None = None
     events: list[dict[str, Any]] = []
-    for pos, (lineno, line) in enumerate(stripped):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if pos == len(stripped) - 1:
-                break  # torn final write from a killed coordinator
-            raise ClusterJournalError(
-                f"{path}:{lineno}: malformed journal record mid-file "
-                f"(not valid JSON: {exc.msg})"
-            ) from exc
-        if not isinstance(rec, dict) or rec.get("type") not in (
-            "cluster", "slice",
-        ):
+    for lineno, rec in durable.read_records(
+        path, ClusterJournalError, "journal record"
+    ):
+        if rec.get("type") not in ("cluster", "slice"):
             raise ClusterJournalError(
                 f"{path}:{lineno}: record is not a cluster/slice event"
             )
@@ -90,23 +78,6 @@ def load_cluster_journal(
     return plan, events
 
 
-def _repair_tail(path: str) -> None:
-    """Truncate a torn trailing record so the next append starts clean."""
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
-        return
-    with open(path, "rb+") as handle:
-        data = handle.read()
-        if data.endswith(b"\n"):
-            return
-        cut = data.rfind(b"\n") + 1
-        try:
-            json.loads(data[cut:])
-        except json.JSONDecodeError:
-            handle.truncate(cut)
-        else:
-            handle.write(b"\n")
-
-
 class ClusterJournal:
     """Append-only writer plus the recovery view over one journal file."""
 
@@ -116,7 +87,7 @@ class ClusterJournal:
         self.recovered_plan, self.recovered_events = load_cluster_journal(
             self.path
         )
-        _repair_tail(self.path)
+        durable.repair_tail(self.path)
         self._lock = threading.Lock()
         self._handle: IO[str] | None = chaos_fs.open(
             self.path, "a", encoding="utf-8"
@@ -132,24 +103,10 @@ class ClusterJournal:
     def _append(self, record: dict[str, Any]) -> None:
         with self._lock:
             assert self._handle is not None, "journal is closed"
-            pos = self._handle.tell()
             try:
-                self._handle.write(
-                    json.dumps(record, separators=(",", ":")) + "\n"
-                )
-                self._handle.flush()
+                durable.append(self._handle, durable.encode(record))
             except OSError:
-                # truncate the torn half-record so later appends stay
-                # parseable (the loader only forgives a torn FINAL line)
                 self.write_errors += 1
-                try:
-                    self._handle.flush()
-                except OSError:
-                    pass
-                try:
-                    self._handle.truncate(pos)
-                except OSError:  # pragma: no cover - disk beyond repair
-                    pass
 
     def record_plan(
         self,

@@ -11,10 +11,12 @@ and the coordinator spools them unchanged.
 one parser; every writer and reader below goes through them.
 
 :class:`BicliqueWriter` is the streaming face of the same format: one
-line per :meth:`~BicliqueWriter.write`, flushed immediately, so a
-process killed mid-run leaves at most one torn trailing line (which
-:func:`read_bicliques` can be told to tolerate).  The serving layer's
-memory watchdog spools through it when a job outgrows RAM.
+line per :meth:`~BicliqueWriter.write`, appended through
+:func:`repro.runtime.durable.append` (flushed, rolled back and re-raised
+on ``OSError``), so a process killed mid-run leaves at most one torn
+trailing line (which :func:`read_bicliques` can be told to tolerate).
+The serving layer's memory watchdog spools through it when a job
+outgrows RAM.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import IO, Iterable, Sequence
 
 from repro.chaos import fs as chaos_fs
 from repro.core.base import Biclique
+from repro.runtime import durable
 
 
 def biclique_line(left: Sequence[int], right: Sequence[int]) -> str:
@@ -92,23 +95,7 @@ class BicliqueWriter:
     def write(self, b: Biclique) -> None:
         assert self._handle is not None, "writer is closed"
         line = biclique_line(b.left, b.right)
-        pos = self._handle.tell()
-        try:
-            self._handle.write(line)
-            self._handle.flush()
-        except OSError:
-            # roll the torn half-line back before re-raising, so a
-            # caller that survives the error (or a replay that count-
-            # checks this spool) reads only whole records
-            try:
-                self._handle.flush()
-            except OSError:
-                pass
-            try:
-                self._handle.truncate(pos)
-            except OSError:  # pragma: no cover - disk beyond repair
-                pass
-            raise
+        durable.append(self._handle, line)
         self.count += 1
         self.bytes_written += len(line)
 

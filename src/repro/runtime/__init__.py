@@ -11,6 +11,9 @@ algorithms in :mod:`repro.core`:
   retries and exponential backoff.
 * :mod:`repro.runtime.checkpoint` — JSONL checkpoint files that let a
   killed parallel run resume without redoing finished subtrees.
+* :mod:`repro.runtime.durable` — the append, torn-tail read and atomic
+  rewrite mechanics shared by the checkpoint, both journals and the
+  result spool.
 * :mod:`repro.runtime.faults` — :class:`FaultPlan`: deterministic
   crash/hang/slow injection used by the stress tests to prove all of the
   above.

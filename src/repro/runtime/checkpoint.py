@@ -14,13 +14,15 @@ checkpoint is an append-only JSONL file:
   work-graph coordinates.  Tasks cut short by a budget are never
   recorded, so a resumed run redoes them in full.
 
-Records are flushed as they are written; a run killed mid-write leaves at
-most one torn trailing line, which the loader tolerates and drops.  Any
-*other* damage — invalid JSON mid-file, a record that is not a JSON
-object, a task record with missing or mistyped fields — raises
-:class:`CheckpointError` with ``path:line`` context instead of silently
-dropping data or surfacing an opaque ``json.JSONDecodeError`` /
-``KeyError`` deep inside resume.
+Appends, creation's atomic rewrite and the loader's torn-tail rule are
+:mod:`repro.runtime.durable`'s: a run killed mid-write leaves at most
+one torn trailing line, which the loader drops.  Any *other* damage —
+invalid JSON mid-file, a record that is not a JSON object, a task
+record with missing or mistyped fields — raises :class:`CheckpointError`
+with ``path:line`` context instead of silently dropping data or
+surfacing an opaque ``json.JSONDecodeError`` / ``KeyError`` deep inside
+resume.  A failed task record is rolled back, counted in
+``write_errors`` and swallowed.
 
 Resume reconciliation (:func:`reconcile_tasks`) is root-aware: a root
 ``v`` may have been recorded either as the whole-subtree task ``(v,0,1)``
@@ -32,12 +34,12 @@ twice across a kill/resume cycle.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import IO, Any
 
 from repro.chaos import fs as chaos_fs
+from repro.runtime import durable
 
 __all__ = [
     "Checkpoint",
@@ -94,37 +96,18 @@ def load_checkpoint(path: str | os.PathLike[str]) -> Checkpoint | None:
     malformed content raises :class:`CheckpointError`.
     """
     path = os.fspath(path)
-    if not os.path.exists(path):
+    try:
+        records = list(
+            durable.read_records(path, CheckpointError, "checkpoint record")
+        )
+    except CheckpointError as exc:
+        raise CheckpointError(
+            f"{exc}; the file cannot be trusted — delete it to restart "
+            f"from scratch"
+        ) from exc
+    if not records:
         return None
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
-        return None
-    parsed: list[dict[str, Any]] = []
-    for i, line in enumerate(lines):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if i == len(lines) - 1:
-                break  # torn final write from a killed run
-            raise CheckpointError(
-                f"{path}:{i + 1}: malformed checkpoint record mid-file "
-                f"(not valid JSON: {exc.msg}); the file cannot be trusted — "
-                f"delete it to restart from scratch"
-            ) from exc
-        if not isinstance(record, dict):
-            # valid JSON that is not an object is corruption everywhere,
-            # including the tail: a torn write of this writer's records
-            # can never parse as a bare scalar or array
-            raise CheckpointError(
-                f"{path}:{i + 1}: checkpoint record is not a JSON object "
-                f"(got {type(record).__name__})"
-            )
-        parsed.append(record)
-    if not parsed:
-        return None
-    header = parsed[0]
+    header = records[0][1]
     if header.get("type") != "header":
         raise CheckpointError(f"{path}: first line is not a checkpoint header")
     if header.get("version") != FORMAT_VERSION:
@@ -132,8 +115,8 @@ def load_checkpoint(path: str | os.PathLike[str]) -> Checkpoint | None:
             f"{path}: unsupported checkpoint version {header.get('version')!r}"
         )
     ckpt = Checkpoint(header={k: v for k, v in header.items() if k != "version"})
-    for i, rec in enumerate(parsed[1:], start=2):
-        _validate_task_record(rec, path, i)
+    for lineno, rec in records[1:]:
+        _validate_task_record(rec, path, lineno)
         ckpt.records[rec["key"]] = rec
     return ckpt
 
@@ -185,24 +168,17 @@ class CheckpointWriter:
         resume_records: list[dict[str, Any]] | None = None,
     ):
         self.path = os.fspath(path)
-        tmp = self.path + ".tmp"
-        self._handle: IO[str] | None = chaos_fs.open(
-            tmp, "w", encoding="utf-8"
-        )
+        header = dict(fingerprint, type="header", version=FORMAT_VERSION)
         # header/resume failures raise: without them the file is useless
-        self._write(dict(fingerprint, type="header", version=FORMAT_VERSION))
-        for rec in resume_records or ():
-            self._write(rec)
-        self._handle.close()
-        chaos_fs.replace(tmp, self.path)
-        self._handle = chaos_fs.open(self.path, "a", encoding="utf-8")
+        durable.atomic_rewrite(
+            self.path, self.path + ".tmp",
+            [durable.encode(rec) for rec in [header, *(resume_records or ())]],
+        )
+        self._handle: IO[str] | None = chaos_fs.open(
+            self.path, "a", encoding="utf-8"
+        )
         #: task records lost to OSError (disk full, I/O error)
         self.write_errors = 0
-
-    def _write(self, obj: dict[str, Any]) -> None:
-        assert self._handle is not None
-        self._handle.write(json.dumps(obj, separators=(",", ":")) + "\n")
-        self._handle.flush()
 
     def record(
         self,
@@ -215,38 +191,26 @@ class CheckpointWriter:
 
         The checkpoint accelerates *resume*; the run in progress never
         depends on it.  A record that fails with ``OSError`` is rolled
-        back (truncated so the file stays loadable — the loader only
-        forgives a torn FINAL line) and counted in ``write_errors``, and
-        the run continues: losing a record merely means a future resume
-        redoes that task.
+        back and counted in ``write_errors``, and the run continues:
+        losing a record merely means a future resume redoes that task.
         """
         assert self._handle is not None
-        pos = self._handle.tell()
+        line = durable.encode({
+            "type": "task",
+            "key": task_key(task),
+            "task": list(task),
+            "count": count,
+            "stats": {k: v for k, v in stats.items() if v},
+            "bicliques": (
+                [[list(b.left), list(b.right)] for b in bicliques]
+                if bicliques is not None
+                else None
+            ),
+        })
         try:
-            self._write(
-                {
-                    "type": "task",
-                    "key": task_key(task),
-                    "task": list(task),
-                    "count": count,
-                    "stats": {k: v for k, v in stats.items() if v},
-                    "bicliques": (
-                        [[list(b.left), list(b.right)] for b in bicliques]
-                        if bicliques is not None
-                        else None
-                    ),
-                }
-            )
+            durable.append(self._handle, line)
         except OSError:
             self.write_errors += 1
-            try:
-                self._handle.flush()
-            except OSError:
-                pass
-            try:
-                self._handle.truncate(pos)
-            except OSError:  # pragma: no cover - disk beyond repair
-                pass
 
     def close(self) -> None:
         if self._handle is not None:

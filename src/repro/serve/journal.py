@@ -8,11 +8,11 @@ per lifecycle event::
     {"type": "job", "event": "started" | "interrupted" | "done" |
      "failed" | "cancelled", "job_id": ..., "t": ..., ...}
 
-Records are flushed as written (the same torn-tail discipline as
-:mod:`repro.runtime.checkpoint`): a server killed mid-write leaves at
+Appends, the loader's torn-tail rule and compaction's atomic rewrite
+are :mod:`repro.runtime.durable`'s: a server killed mid-write leaves at
 most one torn trailing line, which :func:`load_journal` drops; any
 other corruption raises :class:`JournalError` with ``path:line``
-context.
+context.  A failed append raises (after its rollback).
 
 Replaying the journal reconstructs every job's last known state.  Jobs
 whose trail ends at ``submitted`` / ``started`` / ``interrupted`` were
@@ -26,13 +26,13 @@ re-running it.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from typing import IO, Any
 
 from repro.chaos import fs as chaos_fs
+from repro.runtime import durable
 from repro.serve.jobs import Job, JobSpec
 
 __all__ = ["JobJournal", "JournalError", "load_journal"]
@@ -54,23 +54,9 @@ def load_journal(path: str | os.PathLike[str]) -> dict[str, dict[str, Any]]:
     when the file does not exist.
     """
     path = os.fspath(path)
-    if not os.path.exists(path):
-        return {}
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
     jobs: dict[str, dict[str, Any]] = {}
-    stripped = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
-    for pos, (lineno, line) in enumerate(stripped):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if pos == len(stripped) - 1:
-                break  # torn final write from a killed server
-            raise JournalError(
-                f"{path}:{lineno}: malformed journal record mid-file "
-                f"(not valid JSON: {exc.msg})"
-            ) from exc
-        if not isinstance(rec, dict) or rec.get("type") != "job":
+    for lineno, rec in durable.read_records(path, JournalError, "journal record"):
+        if rec.get("type") != "job":
             raise JournalError(
                 f"{path}:{lineno}: journal record is not a job event object"
             )
@@ -95,29 +81,6 @@ def load_journal(path: str | os.PathLike[str]) -> dict[str, dict[str, Any]]:
             if key in rec:
                 entry[key] = rec[key]
     return jobs
-
-
-def _repair_tail(path: str) -> None:
-    """Make a journal appendable again after a mid-write kill.
-
-    A file ending mid-line either holds a torn (unparseable) record —
-    truncated away, matching what :func:`load_journal` already ignores —
-    or a complete record missing only its newline, which gets one so the
-    next append does not fuse two records.
-    """
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
-        return
-    with open(path, "rb+") as handle:
-        data = handle.read()
-        if data.endswith(b"\n"):
-            return
-        cut = data.rfind(b"\n") + 1
-        try:
-            json.loads(data[cut:])
-        except json.JSONDecodeError:
-            handle.truncate(cut)
-        else:
-            handle.write(b"\n")
 
 
 class JobJournal:
@@ -158,7 +121,7 @@ class JobJournal:
             os.remove(tmp)
         #: replayed state from a previous server life (before this open)
         self.recovered = load_journal(self.path)
-        _repair_tail(self.path)
+        durable.repair_tail(self.path)
         self._lock = threading.Lock()
         self._handle: IO[str] | None = chaos_fs.open(
             self.path, "a", encoding="utf-8"
@@ -194,19 +157,10 @@ class JobJournal:
     def _append(self, record: dict[str, Any]) -> None:
         with self._lock:
             assert self._handle is not None, "journal is closed"
-            pos = self._handle.tell()
             try:
-                self._handle.write(
-                    json.dumps(record, separators=(",", ":")) + "\n"
-                )
-                self._handle.flush()
+                durable.append(self._handle, durable.encode(record))
             except OSError:
-                # a torn half-record would poison every later append
-                # (loaders only forgive a torn FINAL line) — truncate
-                # back to the last good record before surfacing the
-                # failure so the journal stays appendable
                 self.write_errors += 1
-                self._truncate_to(pos)
                 raise
             due = (
                 self.compact_max_bytes is not None
@@ -214,18 +168,6 @@ class JobJournal:
             )
         if due:
             self.compact()
-
-    def _truncate_to(self, pos: int) -> None:
-        """Best-effort rollback of a failed append (lock already held)."""
-        assert self._handle is not None
-        try:
-            self._handle.flush()
-        except OSError:
-            pass
-        try:
-            self._handle.truncate(pos)
-        except OSError:  # pragma: no cover - disk beyond repair
-            pass
 
     def record_event(self, job: Job, event: str, **extra: Any) -> None:
         """Append one lifecycle event for ``job``."""
@@ -305,65 +247,38 @@ class JobJournal:
                     drop.update(
                         alive[: len(alive) - self.max_terminal]
                     )
-            tmp = self.path + ".compact.tmp"
+            lines: list[str] = []
             kept = 0
+            for job_id, e in state.items():
+                if job_id in drop or not isinstance(e.get("spec"), dict):
+                    continue  # expired, or a torn pre-crash submit
+                kept += 1
+                lines.append(durable.encode({
+                    "type": "job", "event": "submitted", "job_id": job_id,
+                    "t": e.get("t0") or e.get("t"), "spec": e["spec"],
+                    "idempotency_key": e.get("idempotency_key"),
+                }))
+                if e.get("event") != "submitted":
+                    last: dict[str, Any] = {
+                        "type": "job", "event": e["event"],
+                        "job_id": job_id, "t": e.get("t"),
+                    }
+                    for key in ("summary", "error"):
+                        if key in e:
+                            last[key] = e[key]
+                    lines.append(durable.encode(last))
             try:
-                with chaos_fs.open(tmp, "w", encoding="utf-8") as out:
-                    for job_id, e in state.items():
-                        if job_id in drop or not isinstance(
-                            e.get("spec"), dict
-                        ):
-                            continue  # expired, or a torn pre-crash submit
-                        kept += 1
-                        sub = {
-                            "type": "job", "event": "submitted",
-                            "job_id": job_id,
-                            "t": e.get("t0") or e.get("t"),
-                            "spec": e["spec"],
-                            "idempotency_key": e.get("idempotency_key"),
-                        }
-                        out.write(
-                            json.dumps(sub, separators=(",", ":")) + "\n"
-                        )
-                        if e.get("event") != "submitted":
-                            last: dict[str, Any] = {
-                                "type": "job", "event": e["event"],
-                                "job_id": job_id, "t": e.get("t"),
-                            }
-                            for key in ("summary", "error"):
-                                if key in e:
-                                    last[key] = e[key]
-                            out.write(
-                                json.dumps(last, separators=(",", ":"))
-                                + "\n"
-                            )
-                    out.flush()
-                    chaos_fs.fsync(out.fileno(), tmp)
+                durable.atomic_rewrite(
+                    self.path, self.path + ".compact.tmp", lines
+                )
             except OSError:
                 # abandon the pass: the original file is still the truth
                 self.compact_failures += 1
-                self._discard_tmp(tmp)
                 return -1
             self._handle.close()
-            try:
-                chaos_fs.replace(tmp, self.path)
-            except OSError:
-                self.compact_failures += 1
-                self._discard_tmp(tmp)
-                self._handle = chaos_fs.open(
-                    self.path, "a", encoding="utf-8"
-                )
-                return -1
             self._handle = chaos_fs.open(self.path, "a", encoding="utf-8")
             self.compactions += 1
             return kept
-
-    @staticmethod
-    def _discard_tmp(tmp: str) -> None:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
 
     def close(self) -> None:
         with self._lock:

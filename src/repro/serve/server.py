@@ -917,9 +917,10 @@ class EnumerationService:
 
         Three policies:
 
-        * ``no_fallback`` (cluster slices: only the requested engine
-          understands ``root_range``, any substitute would enumerate the
-          whole graph) — the requested engine or nothing, no plan.
+        * ``no_fallback``, or any root-range job (cluster slices: only
+          the requested engine understands ``root_range``, any
+          substitute would enumerate the whole graph) — the requested
+          engine or nothing, no plan.
         * explicit ``config.fallback`` — the legacy fixed chain through
           :meth:`BreakerRegistry.resolve`, no plan.
         * default — the cost-model planner ranks the fallback engines
@@ -930,7 +931,7 @@ class EnumerationService:
           retired engine name is not in the registry, so its job runs
           the planned chain alone.
         """
-        if spec.no_fallback:
+        if spec.no_fallback or _is_slice(spec):
             return ([spec.engine] if spec.engine in ALGORITHMS else []), None
         if self.config.fallback is not None:
             return [

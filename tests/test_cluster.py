@@ -396,11 +396,17 @@ class TestWorkerSliceSurface:
             httpd.shutdown()
             service.drain(timeout=2)
 
-    def test_malformed_root_range_fails_in_the_engine(self, tmp_path):
+    @pytest.mark.parametrize("no_fallback", [{"no_fallback": True}, {}],
+                             ids=["no_fallback", "root_range_alone"])
+    def test_malformed_root_range_fails_in_the_engine(
+        self, tmp_path, no_fallback
+    ):
+        # a root range implies no fallback: a substitute engine would
+        # drop it and answer the whole graph
         service, httpd, _url = _start_http_service(tmp_path, "w")
         try:
             job, _dedup = service.submit({
-                "engine": "parallel", "edges": EDGES, "no_fallback": True,
+                "engine": "parallel", "edges": EDGES, **no_fallback,
                 "engine_options": {"workers": 1, "root_range": [1]},
             })
             deadline = time.monotonic() + 20

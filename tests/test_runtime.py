@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import time
+import warnings
 from concurrent.futures import BrokenExecutor, Executor, Future
 
 import pytest
 
 from repro import BipartiteGraph, run_mbe
+from repro.chaos import fs as chaos_fs
+from repro.chaos.schedule import FaultRule, FaultSchedule
 from repro.runtime import (
     NULL_GUARD,
     BudgetExceeded,
@@ -222,6 +226,70 @@ class TestCheckpointFile:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(CheckpointError, match=r"run\.ckpt:2:"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage,match", [
+        ("not json", "not valid JSON"),
+        ('{"type":"task","key":"5:0:1"}', "malformed task record"),
+    ])
+    def test_midfile_error_counts_blank_lines(self, tmp_path, damage, match):
+        # blank lines are skipped, not renumbered: the error names the
+        # damaged record's own line in the file
+        path = tmp_path / "run.ckpt"
+        writer = CheckpointWriter(path, self.FP)
+        writer.record((4, 0, 1), 2, {}, None)
+        writer.close()
+        header, record = path.read_text(encoding="utf-8").splitlines()
+        path.write_text(
+            "\n".join([header, "", "", damage, record]) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(CheckpointError, match=match) as exc:
+            load_checkpoint(path)
+        assert "run.ckpt:4:" in str(exc.value)
+
+    def test_failed_header_write_leaves_no_tmp_and_no_open_handle(
+        self, tmp_path
+    ):
+        path = tmp_path / "run.ckpt"
+        schedule = FaultSchedule(seed=0, rules=(
+            FaultRule("disk", "enospc", match="run.ckpt.tmp", op="write"),
+        ))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with chaos_fs.active(schedule):
+                with pytest.raises(OSError, match="ENOSPC"):
+                    CheckpointWriter(path, self.FP)
+            gc.collect()
+        assert not (tmp_path / "run.ckpt.tmp").exists()
+        assert not path.exists()
+        assert not [
+            w for w in caught if issubclass(w.category, ResourceWarning)
+        ]
+
+    def test_creation_fsyncs_the_temp_file_before_replace(
+        self, tmp_path, monkeypatch
+    ):
+        calls: list[tuple[str, str]] = []
+        fsync, replace = chaos_fs.fsync, chaos_fs.replace
+
+        def logged_fsync(fileno, path=""):
+            calls.append(("fsync", path))
+            fsync(fileno, path)
+
+        def logged_replace(src, dst):
+            calls.append(("replace", str(src)))
+            replace(src, dst)
+
+        monkeypatch.setattr(chaos_fs, "fsync", logged_fsync)
+        monkeypatch.setattr(chaos_fs, "replace", logged_replace)
+        schedule = FaultSchedule(seed=0)
+        path = tmp_path / "checkpoint.jsonl"
+        with chaos_fs.active(schedule):
+            CheckpointWriter(path, self.FP).close()
+        key = ("disk", "fsync", "checkpoint.jsonl.tmp")
+        assert schedule._occurrences.get(key) == 1
+        tmp = str(path) + ".tmp"
+        assert calls == [("fsync", tmp), ("replace", tmp)]
 
     def test_torn_tail_tolerated_but_same_damage_midfile_is_not(
         self, tmp_path
